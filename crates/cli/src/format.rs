@@ -62,13 +62,67 @@ pub fn parse_observation(line: &str, lineno: usize) -> Result<Observation, Parse
 }
 
 /// Parse a whole observation document (skipping comments/blanks).
+///
+/// One forward pass over the bytes. A line in the shape
+/// [`render_observations`] writes — ASCII digits, one space, a block of
+/// printable ASCII, then `\n` or end of input — is decoded in place.
+/// Every other line (comments, blanks, `\r\n` endings, tabs, runs of
+/// spaces, signs, non-ASCII whitespace, overflow, anything malformed)
+/// goes to [`parse_observation`] exactly as `str::lines` would hand it
+/// over, so the accepted language, the values and each error's line
+/// number and message are the line-by-line parser's.
 pub fn parse_observations(input: &str) -> Result<Vec<Observation>, ParseError> {
-    input
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !skippable(l))
-        .map(|(i, l)| parse_observation(l, i + 1))
-        .collect()
+    let bytes = input.as_bytes();
+    let mut out = Vec::with_capacity(bytes.iter().filter(|&&b| b == b'\n').count() + 1);
+    let mut pos = 0;
+    let mut lineno = 0;
+    while pos < bytes.len() {
+        lineno += 1;
+        if let Some((obs, next)) = canonical_observation(input, pos) {
+            out.push(obs);
+            pos = next;
+            continue;
+        }
+        let rest = &input[pos..];
+        let (line, next) = match rest.split_once('\n') {
+            Some((l, _)) => (l.strip_suffix('\r').unwrap_or(l), pos + l.len() + 1),
+            None => (rest, bytes.len()),
+        };
+        if !skippable(line) {
+            out.push(parse_observation(line, lineno)?);
+        }
+        pos = next;
+    }
+    Ok(out)
+}
+
+/// Decode the line at byte `pos` if it is canonical (see
+/// [`parse_observations`]), returning the observation and the offset of
+/// the next line; `None` sends the line to the general path. A block
+/// token holds no whitespace, so the general path would split the line
+/// into the same two fields; an overflowing timestamp or a token
+/// `Prefix::from_str` rejects is left to it for the error.
+fn canonical_observation(input: &str, pos: usize) -> Option<(Observation, usize)> {
+    let bytes = input.as_bytes();
+    let mut i = pos;
+    let mut secs = 0u64;
+    while let Some(&b) = bytes.get(i).filter(|b| b.is_ascii_digit()) {
+        secs = secs.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+        i += 1;
+    }
+    if i == pos || bytes.get(i) != Some(&b' ') {
+        return None;
+    }
+    let start = i + 1;
+    let end = bytes[start..]
+        .iter()
+        .position(|&b| !b.is_ascii_graphic())
+        .map_or(bytes.len(), |n| start + n);
+    if end < bytes.len() && bytes[end] != b'\n' {
+        return None;
+    }
+    let block: Prefix = input.get(start..end)?.parse().ok()?;
+    Some((Observation::new(UnixTime(secs), block), end + 1))
 }
 
 /// Render a whole observation document.
@@ -214,15 +268,119 @@ pub fn parse_intervals(input: &str) -> Result<IntervalSet, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use outage_types::rng::SmallRng;
 
     #[test]
     fn observation_roundtrip() {
-        let obs = vec![
+        let mut obs = vec![
             Observation::new(UnixTime(0), "10.0.0.0/24".parse().unwrap()),
             Observation::new(UnixTime(86_399), "2001:db8::/48".parse().unwrap()),
         ];
+        // Random v4 and v6 blocks at every length, timestamps across the
+        // whole u64 range.
+        let mut rng = SmallRng::seed_from_u64(14);
+        for len in 0..=128u8 {
+            for _ in 0..8 {
+                let t = UnixTime(match rng.gen_range(0..3u8) {
+                    0 => rng.gen_range(0..100_000u64),
+                    1 => rng.next_u64(),
+                    _ => u64::MAX - rng.gen_range(0..3u64),
+                });
+                let v6 = (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64());
+                obs.push(Observation::new(t, Prefix::v6_raw(v6, len)));
+                if len <= 32 {
+                    obs.push(Observation::new(t, Prefix::v4_raw(rng.next_u32(), len)));
+                }
+            }
+        }
         let doc = render_observations(&obs);
         assert_eq!(parse_observations(&doc).unwrap(), obs);
+        assert_eq!(parse_observations(doc.trim_end()).unwrap(), obs);
+    }
+
+    /// The line-by-line parser the one-pass [`parse_observations`] must
+    /// agree with on every document.
+    fn line_by_line(input: &str) -> Result<Vec<Observation>, ParseError> {
+        input
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !skippable(l))
+            .map(|(i, l)| parse_observation(l, i + 1))
+            .collect()
+    }
+
+    /// Every truncation and single-byte replacement of `seed`, plus a
+    /// U+00A0 (non-ASCII whitespace) inserted at every position.
+    fn mutants(seed: &str) -> Vec<String> {
+        const REPLACEMENTS: &[u8] = b"0123456789.:/ \t\r\n+#a";
+        let mut out: Vec<String> = (0..=seed.len()).map(|k| seed[..k].to_string()).collect();
+        for at in 0..seed.len() {
+            for &c in REPLACEMENTS {
+                let mut bytes = seed.as_bytes().to_vec();
+                bytes[at] = c;
+                out.push(String::from_utf8(bytes).expect("ASCII seed"));
+            }
+        }
+        for at in 0..=seed.len() {
+            out.push(format!("{}\u{a0}{}", &seed[..at], &seed[at..]));
+        }
+        out
+    }
+
+    /// Each mutant as a middle line, as a last line with and without a
+    /// final newline, and as a whole document.
+    fn documents(mutant: &str) -> [String; 4] {
+        [
+            format!("5 10.0.0.0/24\n{mutant}\n# tail\n6 10.0.1.0/24\n"),
+            format!("# head\n{mutant}\n"),
+            format!("5 10.0.0.0/24\r\n{mutant}"),
+            mutant.to_string(),
+        ]
+    }
+
+    #[test]
+    fn one_pass_parse_equals_line_by_line_under_mutation() {
+        let seeds = [
+            "0 0.0.0.0/0",
+            "18446744073709551615 255.255.255.255/32",
+            "86399 192.0.2.0/24",
+            "7 2001:db8::/48",
+            "42 ::/0",
+            "18446744073709551615 ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128",
+            "18446744073709551616 10.0.0.0/8",
+        ];
+        let mut accepted = 0;
+        for seed in seeds {
+            for mutant in mutants(seed) {
+                for doc in documents(&mutant) {
+                    let got = parse_observations(&doc);
+                    assert_eq!(got, line_by_line(&doc), "{doc:?}");
+                    accepted += usize::from(got.is_ok());
+                }
+            }
+        }
+        // The sweep reaches both sides of the grammar.
+        assert!(accepted > 1_000, "only {accepted} documents parsed");
+    }
+
+    #[test]
+    fn event_and_interval_parsers_survive_mutation() {
+        let seeds = [
+            "192.0.2.0/24 30010 37200 0.990 passive-bayes",
+            "2001:db8::/48 0 18446744073709551615 1.000 ground-truth",
+            "43200 45180",
+            "0 18446744073709551615",
+        ];
+        for seed in seeds {
+            for mutant in mutants(seed) {
+                let _ = parse_event(&mutant, 1);
+                let _ = parse_interval(&mutant, 1);
+                for doc in documents(&mutant) {
+                    let _ = parse_events(&doc);
+                    let _ = parse_intervals(&doc);
+                }
+            }
+        }
     }
 
     #[test]

@@ -719,12 +719,16 @@ impl DetectionEngine {
     }
 
     /// Finish at `end`: settle the gate, advance every unit to `end`,
-    /// and return the finished per-unit reports plus routing. Used by
-    /// the streaming adapter, which assembles events incrementally;
-    /// batch uses [`Self::finish`] for a full report.
+    /// and return the finished per-unit reports plus routing. Units are
+    /// judged only through `end`: a stream finished before its window
+    /// ends has not observed the rest, so that rest is not silence.
+    /// Used by the streaming adapter, which assembles events
+    /// incrementally; batch uses [`Self::finish`] for a full report.
     pub(crate) fn finish_units(mut self, end: UnixTime) -> (Vec<UnitReport>, EngineParts) {
         self.settle_gate(end);
         self.units.advance_all(end);
+        let judged = &mut self.units.policy.window;
+        *judged = Interval::new(judged.start, end.min(judged.end));
         let mut reports = self.units.finish_all();
         let (sentinel, quarantined) = match self.gate {
             Some(g) => {

@@ -527,11 +527,11 @@ impl StreamingMonitor {
     /// quarantined interval (a quarantine still open at `end` is closed
     /// at `end`).
     ///
-    /// Detectors judge their *full* epoch window, so finishing mid-epoch
-    /// treats the remainder of the epoch as observed silence — a block
-    /// quiet since before `end` may be reported down through the epoch's
-    /// end. Prefer finishing at an epoch boundary; a monitor that runs
-    /// continuously (the intended deployment) never calls this at all.
+    /// The in-flight epoch is judged only through `end`: finishing
+    /// mid-epoch, or right after a tick opened a new epoch, reports
+    /// nothing about the unobserved time past `end`. A monitor that
+    /// runs continuously (the intended deployment) never calls this at
+    /// all.
     pub fn finish_with_quarantine(self, end: UnixTime) -> (Vec<OutageEvent>, IntervalSet) {
         let (events, quarantined, _) = self.finish_with_evidence(end);
         (events, quarantined)
@@ -1051,6 +1051,39 @@ mod tests {
         assert_eq!(m.live_epoch_start(), Some(UnixTime(2 * 86_400)));
         let events = m.finish(UnixTime(end));
         assert!(events.is_empty(), "steady traffic, no outage: {events:?}");
+    }
+
+    #[test]
+    fn finish_mid_epoch_judges_only_through_end() {
+        // A steady block fed for two and a half days: the live epoch
+        // [2 d, 3 d) is finished halfway, and its unobserved second half
+        // is not silence.
+        let end = 2 * 86_400 + 43_200;
+        let mut m = daily(0);
+        for t in (0..end).step_by(10) {
+            m.observe(Observation::new(UnixTime(t), block()));
+        }
+        let events = m.finish(UnixTime(end));
+        assert!(
+            events.is_empty(),
+            "nothing past {end} was observed: {events:?}"
+        );
+    }
+
+    #[test]
+    fn finish_at_a_ticked_boundary_judges_nothing_of_the_next_epoch() {
+        // Without a reorder stage a tick at the day boundary rolls into
+        // the next epoch at once; finishing there must not report that
+        // whole day down.
+        let end = 2 * 86_400;
+        let mut m = daily(0);
+        for t in (0..end).step_by(10) {
+            m.observe(Observation::new(UnixTime(t), block()));
+        }
+        m.tick(UnixTime(end));
+        assert_eq!(m.live_epoch_start(), Some(UnixTime(end)));
+        let events = m.finish(UnixTime(end));
+        assert!(events.is_empty(), "the next day is unobserved: {events:?}");
     }
 
     #[test]

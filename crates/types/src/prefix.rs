@@ -384,6 +384,39 @@ impl fmt::Display for ParsePrefixError {
 
 impl std::error::Error for ParsePrefixError {}
 
+/// A dotted-quad IPv4 address as a big-endian `u32`, read with exactly
+/// the grammar of std's `Ipv4Addr` parser — four decimal octets 0–255,
+/// one to three digits each, no leading zeros, nothing else — but
+/// without its general-purpose reader, which dominates parsing an
+/// obs-doc line.
+fn parse_ipv4(s: &[u8]) -> Option<u32> {
+    let mut addr = 0u32;
+    let mut i = 0;
+    for octet in 0..4 {
+        if octet > 0 {
+            if s.get(i) != Some(&b'.') {
+                return None;
+            }
+            i += 1;
+        }
+        let start = i;
+        let mut value = 0u32;
+        while let Some(&b) = s.get(i).filter(|b| b.is_ascii_digit()) {
+            if i - start == 3 {
+                return None;
+            }
+            value = value * 10 + u32::from(b - b'0');
+            i += 1;
+        }
+        let digits = i - start;
+        if digits == 0 || value > 255 || (digits > 1 && s[start] == b'0') {
+            return None;
+        }
+        addr = (addr << 8) | value;
+    }
+    (i == s.len()).then_some(addr)
+}
+
 impl FromStr for Prefix {
     type Err = ParsePrefixError;
 
@@ -394,11 +427,11 @@ impl FromStr for Prefix {
         let len: u8 = len
             .parse()
             .map_err(|_| ParsePrefixError(format!("{s}: bad length")))?;
-        if let Ok(v4) = ip.parse::<Ipv4Addr>() {
+        if let Some(v4) = parse_ipv4(ip.as_bytes()) {
             if len > 32 {
                 return Err(ParsePrefixError(format!("{s}: /{len} > 32")));
             }
-            return Ok(Prefix::v4(v4, len));
+            return Ok(Prefix::v4_raw(v4, len));
         }
         if let Ok(v6) = ip.parse::<Ipv6Addr>() {
             if len > 128 {
@@ -530,6 +563,52 @@ mod tests {
         assert!("2001:db8::/129".parse::<Prefix>().is_err());
         assert!("banana/8".parse::<Prefix>().is_err());
         assert!("10.0.0.0/x".parse::<Prefix>().is_err());
+    }
+
+    #[test]
+    fn ipv4_reader_matches_std_grammar() {
+        let agrees = |s: &str| {
+            assert_eq!(
+                parse_ipv4(s.as_bytes()),
+                s.parse::<Ipv4Addr>().ok().map(u32::from),
+                "{s:?}"
+            );
+        };
+        // Every octet spelling of one to four digits, leading zeros
+        // included, at every position.
+        for width in 1..=4u32 {
+            for v in 0..10u32.pow(width) {
+                let octet = format!("{v:0w$}", w = width as usize);
+                for pos in 0..4 {
+                    let mut parts = ["1", "1", "1", "1"];
+                    parts[pos] = &octet;
+                    agrees(&parts.join("."));
+                }
+            }
+        }
+        for s in [
+            "",
+            ".",
+            "1.2.3",
+            "1.2.3.4.",
+            ".1.2.3.4",
+            "1..2.3",
+            "1.2.3.4 ",
+            " 1.2.3.4",
+            "+1.2.3.4",
+            "1.2.3.-4",
+            "1.2.3.4.5",
+            "1.2.3.a",
+            "::1",
+            "1:2:3:4",
+            "1.2.3.4/8",
+            "0.0.0.0",
+            "255.255.255.255",
+            "255.255.255.256",
+            "0x1.2.3.4",
+        ] {
+            agrees(s);
+        }
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! if interval-set algebra is wrong, every confusion-matrix cell is wrong.
 
 use outage_check::prelude::*;
-use outage_types::{Interval, IntervalSet, Prefix, PrefixTrie, UnixTime};
+use outage_types::rng::SmallRng;
+use outage_types::{Interval, IntervalSet, ParsePrefixError, Prefix, PrefixTrie, UnixTime};
 use std::collections::BTreeMap;
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 const HORIZON: u64 = 10_000;
 
@@ -172,5 +174,73 @@ property! {
         }
         prop_assert_eq!(removed, n);
         prop_assert!(trie.is_empty());
+    }
+}
+
+/// `Prefix::from_str` as it reads with std's address parsers: the
+/// reference the byte-level IPv4 reader must agree with, errors
+/// included.
+fn std_prefix(s: &str) -> Result<Prefix, ParsePrefixError> {
+    let (ip, len) = s
+        .split_once('/')
+        .ok_or_else(|| ParsePrefixError(format!("{s}: missing '/'")))?;
+    let len: u8 = len
+        .parse()
+        .map_err(|_| ParsePrefixError(format!("{s}: bad length")))?;
+    if let Ok(v4) = ip.parse::<Ipv4Addr>() {
+        if len > 32 {
+            return Err(ParsePrefixError(format!("{s}: /{len} > 32")));
+        }
+        return Ok(Prefix::v4(v4, len));
+    }
+    if let Ok(v6) = ip.parse::<Ipv6Addr>() {
+        if len > 128 {
+            return Err(ParsePrefixError(format!("{s}: /{len} > 128")));
+        }
+        return Ok(Prefix::v6(v6, len));
+    }
+    Err(ParsePrefixError(format!("{s}: unparseable address")))
+}
+
+/// Prefix-like text: a rendered IPv4 or IPv6 address (or random
+/// characters), a length that may be out of range or missing, then up
+/// to three single-byte edits from an alphabet that reaches every
+/// branch of the grammar.
+fn prefix_text(seed: u64) -> String {
+    const ALPHABET: &[u8] = b"0123456789.:/+- af";
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut s = match rng.gen_range(0..3u8) {
+        0 => Ipv4Addr::from(rng.next_u32()).to_string(),
+        1 => Ipv6Addr::from(u128::from(rng.next_u64()) << rng.gen_range(0..65u32)).to_string(),
+        _ => (0..rng.gen_range(0..16usize))
+            .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())] as char)
+            .collect(),
+    };
+    if rng.gen_bool(0.9) {
+        s.push_str(&format!("/{}", rng.gen_range(0..140u32)));
+    }
+    let mut bytes = s.into_bytes();
+    for _ in 0..rng.gen_range(0..4u8) {
+        let c = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+        let at = rng.gen_range(0..=bytes.len());
+        match rng.gen_range(0..3u8) {
+            0 => bytes.insert(at, c),
+            1 if at < bytes.len() => bytes[at] = c,
+            _ if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => {}
+        }
+    }
+    String::from_utf8(bytes).expect("ASCII edits")
+}
+
+property! {
+    #![cases(4096)]
+
+    #[test]
+    fn prefix_from_str_agrees_with_std_parsers(seed in any::<u64>()) {
+        let s = prefix_text(seed);
+        prop_assert_eq!(s.parse::<Prefix>(), std_prefix(&s), "{:?}", s);
     }
 }
