@@ -210,7 +210,8 @@ pub fn fig1(scale: Scale) -> CoverageFigure {
     let scenario = Scenario::tradeoff(scale.num_as, scale.seed);
     let detector = PassiveDetector::new(DetectorConfig::default());
     let observations = scenario.collect_observations();
-    let histories = detector.learn_histories(observations.iter().copied(), scenario.window());
+    let histories =
+        detector.learn_histories_indexed(observations.iter().copied(), scenario.window());
 
     let curve = coverage_by_width(&histories, detector.config(), Some(AddrFamily::V4));
     let by_width: Vec<CoverageRow> = curve
@@ -412,7 +413,7 @@ pub fn ablate_fixed_bins(scale: Scale) -> AblationResult {
 
     let run = |config: DetectorConfig| {
         let det = PassiveDetector::new(config);
-        let hist = det.learn_histories(observations.iter().copied(), window);
+        let hist = det.learn_histories_indexed(observations.iter().copied(), window);
         let plan = det.plan_units(&hist);
         let covered: usize = plan.units.iter().map(|u| u.members.len()).sum();
         covered as f64 / hist.len().max(1) as f64
@@ -502,7 +503,7 @@ pub fn ablate_no_agg(scale: Scale) -> AblationResult {
     let window = scenario.window();
     let run = |config: DetectorConfig| {
         let det = PassiveDetector::new(config);
-        let hist = det.learn_histories(observations.iter().copied(), window);
+        let hist = det.learn_histories_indexed(observations.iter().copied(), window);
         let plan = det.plan_units(&hist);
         let covered: usize = plan.units.iter().map(|u| u.members.len()).sum();
         covered as f64 / hist.len().max(1) as f64
@@ -866,8 +867,10 @@ pub fn faults(scale: Scale) -> FaultsResult {
     let clean_report = detector.run_slice(&observations, window);
     let off_report = detector.run_slice(&faulted, window);
     let on_report = detector
-        .run_slice_with_sentinel(&faulted, window, &SentinelConfig::default())
-        .expect("default sentinel config");
+        .clone()
+        .with_sentinel(SentinelConfig::default())
+        .expect("default sentinel config")
+        .run_slice(&faulted, window);
 
     let truth: std::collections::HashMap<Prefix, IntervalSet> = scenario
         .schedule

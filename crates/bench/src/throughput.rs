@@ -223,7 +223,7 @@ fn check_three_way_equivalence(
     worker_counts: &[usize],
 ) -> usize {
     let model = detector.learn_model(observations, window, 1);
-    let batch = detector.detect(&model, observations.iter().copied(), window);
+    let batch = detector.detect(model.indexed(), observations.iter().copied(), window);
     let batch_doc = event_document(&batch.events());
 
     let mut monitor = StreamingMonitor::from_model(
@@ -242,7 +242,13 @@ fn check_three_way_equivalence(
     );
 
     for &w in worker_counts {
-        let par = detect_parallel(detector, &model, observations.iter().copied(), window, w);
+        let par = detect_parallel(
+            detector,
+            model.indexed(),
+            observations.iter().copied(),
+            window,
+            w,
+        );
         assert_eq!(
             event_document(&par.events()),
             batch_doc,
@@ -291,7 +297,7 @@ pub fn throughput(
         .iter()
         .map(|&w| {
             let secs = time_best(iterations, || {
-                let h = detector.learn_histories_parallel(&observations, window, w);
+                let h = detector.learn_model(&observations, window, w);
                 assert_eq!(h.len(), blocks, "sharded learning lost blocks");
                 std::hint::black_box(h);
             });
@@ -617,7 +623,10 @@ pub fn federation_bench(
                     s.spawn(move || {
                         let runner =
                             VantageRunner::new(v, DetectorConfig::default()).expect("valid config");
-                        runner.run(&shard, window).expect("valid config")
+                        let model = runner.learn(&shard, window, 1);
+                        runner
+                            .run_with_model(&model, &shard, window)
+                            .expect("valid config")
                     })
                 })
                 .collect();

@@ -167,7 +167,7 @@ macro_rules! any_gen {
 }
 any_gen!(bool => bool, u8 => u8, u16 => u16, u32 => next_u32, u64 => next_u64);
 
-/// See [`vec`].
+/// See [`fn@vec`].
 #[derive(Debug, Clone)]
 pub struct VecOf<G, S> {
     element: G,

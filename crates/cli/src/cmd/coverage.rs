@@ -16,7 +16,7 @@ pub fn coverage(observations_doc: &str) -> Result<String, CommandError> {
         UnixTime(max_t.div_ceil(durations::DAY) * durations::DAY),
     );
     let detector = PassiveDetector::new(DetectorConfig::default());
-    let histories = detector.learn_histories(observations.iter().copied(), window);
+    let histories = detector.learn_histories_indexed(observations.iter().copied(), window);
     let mut out = String::from("bin-width-secs measurable total fraction\n");
     for p in coverage_by_width(&histories, detector.config(), None) {
         out.push_str(&format!(

@@ -7,8 +7,8 @@
 use super::{detection_window, resolve_workers, CommandError};
 use crate::format;
 use outage_core::{
-    detect_parallel, detect_parallel_with_sentinel, DetectorConfig, EventEvidence, EvidenceConfig,
-    LearnedModel, PassiveDetector, SentinelConfig, StreamingMonitor,
+    try_detect_parallel, DetectorConfig, EventEvidence, EvidenceConfig, LearnedModel,
+    PassiveDetector, SentinelConfig, StreamingMonitor,
 };
 use outage_eval::summarize;
 use outage_netsim::FaultPlan;
@@ -191,55 +191,65 @@ pub fn detect_with(
         evidence: opts.evidence,
         ..DetectorConfig::default()
     };
-    let detector = PassiveDetector::try_new(config)?.with_obs(obs.clone());
-
-    if opts.streaming {
-        return detect_streaming(&observations, window, opts, &obs, &detector, &fault_note);
+    let mut detector = PassiveDetector::try_new(config)?.with_obs(obs.clone());
+    if let Some(cfg) = opts.sentinel {
+        detector = detector.with_sentinel(cfg)?;
     }
 
-    // Both passes go through the parallel path by default: sharded
-    // history learning, then the router/worker detection driver (both
-    // produce results identical to the sequential pipeline). A supplied
-    // checkpoint replaces the learning pass entirely (warm start).
+    // One model step for every mode: a supplied checkpoint replaces the
+    // learning pass entirely (warm start); otherwise learn sharded
+    // across the workers, encoding the result when asked to save it.
     let mut warm_note = String::new();
     let mut model_bytes = None;
-    let histories = match &opts.model {
+    let model = match &opts.model {
         Some(bytes) => {
             let model = load_checkpoint(bytes, &detector, window, &obs)?;
             warm_note = " [warm start from checkpoint]".to_string();
-            model.into_indexed()
+            model
         }
-        None if opts.model_out => {
+        None => {
             let model = detector.learn_model(&observations, window, workers);
-            let encoded = encode_checkpoint(&Checkpoint {
-                fingerprint: detector.config().fingerprint(),
-                model: model.clone(),
-            });
-            StoreMetrics::register(&obs.registry)
-                .bytes_written
-                .add(encoded.len() as u64);
-            model_bytes = Some(encoded);
-            model.into_indexed()
+            if opts.model_out {
+                let encoded = encode_checkpoint(&Checkpoint {
+                    fingerprint: detector.config().fingerprint(),
+                    model: model.clone(),
+                });
+                StoreMetrics::register(&obs.registry)
+                    .bytes_written
+                    .add(encoded.len() as u64);
+                model_bytes = Some(encoded);
+            }
+            model
         }
-        None => detector.learn_histories_parallel(&observations, window, workers),
     };
-    let report = match &opts.sentinel {
-        None => detect_parallel(
-            &detector,
-            &histories,
-            observations.iter().copied(),
+
+    if opts.streaming {
+        let out = detect_streaming(
+            &observations,
             window,
-            workers,
-        ),
-        Some(cfg) => detect_parallel_with_sentinel(
+            opts,
             &detector,
-            &histories,
-            observations.iter().copied(),
-            window,
-            workers,
-            cfg,
-        )?,
-    };
+            &model,
+            &fault_note,
+            &warm_note,
+        )?;
+        return Ok(DetectOutput {
+            model: model_bytes,
+            ..out
+        });
+    }
+
+    // The parallel router/worker driver produces results identical to
+    // the sequential pipeline. Only the built histories are kept: the
+    // count arena is not needed to detect.
+    let histories = model.into_indexed();
+    let report = try_detect_parallel(
+        &detector,
+        &histories,
+        observations.iter().copied(),
+        window,
+        workers,
+    )?;
     // Deterministic by construction: DetectionReport::events sorts at
     // assembly time.
     let events = report.events();
@@ -312,42 +322,20 @@ fn evidence_note(doc: &Option<String>, enrolled: usize, tier: EvidenceConfig) ->
 /// The streaming execution mode: warm-start a [`StreamingMonitor`]
 /// whose single epoch is the whole detection window (so it is live from
 /// the first observation, with units planned from the same model the
-/// batch path would use) and replay the slice through it.
+/// parallel path uses) and replay the slice through it.
 fn detect_streaming(
     observations: &[Observation],
     window: Interval,
     opts: &DetectOptions,
-    obs: &Obs,
     detector: &PassiveDetector,
+    model: &LearnedModel,
     fault_note: &str,
+    warm_note: &str,
 ) -> Result<DetectOutput, CommandError> {
-    let mut warm_note = String::new();
-    let mut model_bytes = None;
-    let model = match &opts.model {
-        Some(bytes) => {
-            let model = load_checkpoint(bytes, detector, window, obs)?;
-            warm_note = " [warm start from checkpoint]".to_string();
-            model
-        }
-        None => {
-            let workers = resolve_workers(None)?;
-            let model = detector.learn_model(observations, window, workers);
-            if opts.model_out {
-                let encoded = encode_checkpoint(&Checkpoint {
-                    fingerprint: detector.config().fingerprint(),
-                    model: model.clone(),
-                });
-                StoreMetrics::register(&obs.registry)
-                    .bytes_written
-                    .add(encoded.len() as u64);
-                model_bytes = Some(encoded);
-            }
-            model
-        }
-    };
+    let obs = detector.obs();
     let mut monitor = StreamingMonitor::from_model(
         detector.config().clone(),
-        &model,
+        model,
         window.start,
         window.duration(),
     )?;
@@ -421,7 +409,7 @@ fn detect_streaming(
         quarantine: format::render_intervals(&quarantined),
         metrics: obs.registry.render_prometheus(),
         trace: obs.tracer.as_ref().map(|t| t.to_jsonl()),
-        model: model_bytes,
+        model: None,
         evidence: evidence_doc,
         summary,
     })

@@ -68,6 +68,12 @@ impl From<outage_core::ModelError> for CommandError {
     }
 }
 
+impl From<outage_core::WorkerPanic> for CommandError {
+    fn from(e: outage_core::WorkerPanic) -> Self {
+        CommandError(format!("detection failed: {e}"))
+    }
+}
+
 impl From<outage_core::FederationError> for CommandError {
     fn from(e: outage_core::FederationError) -> Self {
         CommandError(format!("federation: {e}"))
@@ -103,4 +109,21 @@ pub(crate) fn resolve_workers(workers: Option<usize>) -> Result<usize, CommandEr
         return Err(CommandError("--workers must be at least 1".into()));
     }
     Ok(workers)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_panic_becomes_a_command_error_naming_the_worker() {
+        let err = CommandError::from(outage_core::WorkerPanic {
+            worker: 3,
+            message: "index out of bounds".into(),
+        });
+        assert_eq!(
+            err.to_string(),
+            "detection failed: detection worker 3 panicked: index out of bounds"
+        );
+    }
 }

@@ -1,35 +1,11 @@
 //! Multi-source corroboration.
 //!
 //! "When possible, we correlate multiple signals from the same region to
-//! corroborate results." Two fusion primitives support that:
-//!
-//! * [`fuse_beliefs`] — Bayesian fusion of per-source beliefs about the
-//!   same block under a shared prior (log-odds addition of the evidence
-//!   each source contributes beyond the prior).
-//! * [`fuse_timelines`] — quorum voting over judged timelines: a second
-//!   is down iff at least `quorum` sources judged it down.
+//! corroborate results." [`fuse_timelines`] supports that by quorum
+//! voting over judged timelines: a second is down iff at least `quorum`
+//! sources judged it down.
 
-use crate::belief::{from_log_odds, log_odds};
 use outage_types::{Interval, IntervalSet, Timeline, UnixTime};
-
-/// Fuse independent per-source beliefs `P(up)` sharing the prior
-/// `prior`. Returns the combined posterior.
-///
-/// Each source contributes the evidence `log_odds(b_i) − log_odds(prior)`;
-/// evidence adds under independence.
-pub fn fuse_beliefs(beliefs: &[f64], prior: f64) -> f64 {
-    assert!(
-        (0.0..1.0).contains(&prior) && prior > 0.0,
-        "prior must be in (0,1)"
-    );
-    let prior_lo = log_odds(prior);
-    let fused = prior_lo
-        + beliefs
-            .iter()
-            .map(|&b| log_odds(b.clamp(1e-9, 1.0 - 1e-9)) - prior_lo)
-            .sum::<f64>();
-    from_log_odds(fused)
-}
 
 /// Fuse judged timelines by quorum: a second is down iff at least
 /// `quorum` of the timelines judge it down. All timelines must share the
@@ -85,37 +61,6 @@ mod tests {
             Interval::from_secs(window.0, window.1),
             IntervalSet::from_intervals(downs.iter().map(|&(a, b)| Interval::from_secs(a, b))),
         )
-    }
-
-    #[test]
-    fn fusing_agreeing_sources_sharpens_belief() {
-        let fused = fuse_beliefs(&[0.2, 0.2], 0.5);
-        assert!(
-            fused < 0.1,
-            "two weak down-signals should compound: {fused}"
-        );
-        let fused_up = fuse_beliefs(&[0.8, 0.8], 0.5);
-        assert!(fused_up > 0.9);
-    }
-
-    #[test]
-    fn fusing_conflicting_sources_cancels() {
-        let fused = fuse_beliefs(&[0.2, 0.8], 0.5);
-        assert!((fused - 0.5).abs() < 1e-9, "symmetric conflict: {fused}");
-    }
-
-    #[test]
-    fn single_source_passes_through() {
-        let fused = fuse_beliefs(&[0.3], 0.5);
-        assert!((fused - 0.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn prior_is_respected() {
-        // No sources: posterior equals the prior.
-        assert!((fuse_beliefs(&[], 0.9) - 0.9).abs() < 1e-12);
-        // A source merely repeating the prior adds no evidence.
-        assert!((fuse_beliefs(&[0.9], 0.9) - 0.9).abs() < 1e-12);
     }
 
     #[test]

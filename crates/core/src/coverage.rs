@@ -8,9 +8,9 @@
 
 use crate::aggregate::AggregationPlan;
 use crate::config::DetectorConfig;
-use crate::history::BlockHistory;
+use crate::history::{BlockHistory, IndexedHistories};
 use crate::tuning::{tune_estimate, RateEstimate};
-use outage_types::{AddrFamily, Prefix};
+use outage_types::AddrFamily;
 use std::collections::HashMap;
 
 /// One point on the temporal-precision coverage curve.
@@ -38,12 +38,13 @@ impl CoveragePoint {
 /// The temporal coverage curve: for each candidate width, how many blocks
 /// become measurable once that width is allowed.
 pub fn coverage_by_width(
-    histories: &HashMap<Prefix, BlockHistory>,
+    histories: &IndexedHistories,
     config: &DetectorConfig,
     family: Option<AddrFamily>,
 ) -> Vec<CoveragePoint> {
     let relevant: Vec<&BlockHistory> = histories
-        .values()
+        .histories()
+        .iter()
         .filter(|h| family.is_none_or(|f| h.prefix.family() == f))
         .collect();
     let total = relevant.len();
@@ -123,33 +124,37 @@ pub fn spatial_coverage(plan: &AggregationPlan) -> SpatialCoverage {
 mod tests {
     use super::*;
     use crate::aggregate::plan;
+    use crate::index::BlockIndex;
+    use outage_types::Prefix;
 
-    fn hist(prefix: &str, lambda: f64) -> (Prefix, BlockHistory) {
-        let p: Prefix = prefix.parse().unwrap();
-        (
-            p,
-            BlockHistory {
-                prefix: p,
-                lambda,
-                total: (lambda * 86_400.0) as u64,
-                hourly_shape: [1.0; 24],
-                // Treat the flat shape as *known* so these synthetic
-                // histories tune at their nominal rates.
-                shape_estimated: true,
-            },
-        )
+    fn hist(prefix: &str, lambda: f64) -> BlockHistory {
+        BlockHistory {
+            prefix: prefix.parse().unwrap(),
+            lambda,
+            total: (lambda * 86_400.0) as u64,
+            hourly_shape: [1.0; 24],
+            // Treat the flat shape as *known* so these synthetic
+            // histories tune at their nominal rates.
+            shape_estimated: true,
+        }
     }
 
-    fn histories() -> HashMap<Prefix, BlockHistory> {
-        [
+    fn indexed(histories: Vec<BlockHistory>) -> IndexedHistories {
+        let mut index = BlockIndex::new();
+        for h in &histories {
+            index.intern(h.prefix);
+        }
+        IndexedHistories::from_parts(index, histories).unwrap()
+    }
+
+    fn histories() -> IndexedHistories {
+        indexed(vec![
             hist("10.0.0.0/24", 0.1),     // measurable at 300
             hist("10.0.1.0/24", 0.005),   // at 1200
             hist("10.0.2.0/24", 0.0008),  // at 7200
             hist("10.0.3.0/24", 0.00001), // never
             hist("2001:db8::/48", 0.02),  // v6, at 300
-        ]
-        .into_iter()
-        .collect()
+        ])
     }
 
     #[test]
@@ -179,7 +184,7 @@ mod tests {
     #[test]
     fn empty_histories_give_zero_fraction() {
         let cfg = DetectorConfig::default();
-        let curve = coverage_by_width(&HashMap::new(), &cfg, None);
+        let curve = coverage_by_width(&indexed(Vec::new()), &cfg, None);
         assert!(curve.iter().all(|p| p.fraction() == 0.0));
     }
 

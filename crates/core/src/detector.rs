@@ -25,21 +25,20 @@
 //! The algorithm is split struct-of-arrays style so an engine over
 //! hundreds of thousands of units stays cache-friendly:
 //!
-//! * [`UnitPolicy`] — the config-derived knobs every unit in an engine
+//! * `UnitPolicy` — the config-derived knobs every unit in an engine
 //!   shares (thresholds, margins, window). One copy per engine.
-//! * [`UnitState`] — the per-unit hot state (belief, bin clock, edge
+//! * `UnitState` — the per-unit hot state (belief, bin clock, edge
 //!   bookkeeping). One entry per unit in a flat `Vec`; no hour shape,
 //!   no duplicated thresholds.
 //! * The 24-hour expectation shapes live in a flat
-//!   [`crate::history::ShapeTable`] arena owned by the engine.
+//!   `ShapeTable` arena owned by the engine.
 //!
-//! [`UnitDetector`] is the standalone single-unit view over the same
-//! algorithm: it owns one `UnitState`, one shape, and one policy, and
-//! is what tests and one-off callers construct directly.
+//! A single unit runs through [`crate::DetectionEngine`] like any
+//! other: an engine over a one-unit plan.
 
 use crate::belief::{log_odds, Belief, BeliefClamp};
 use crate::config::DetectorConfig;
-use crate::evidence::{enrolls, EventEvidence, UnitEvidence};
+use crate::evidence::{EventEvidence, UnitEvidence};
 use crate::tuning::UnitParams;
 use outage_types::{DetectorId, Interval, IntervalSet, OutageEvent, Prefix, Timeline, UnixTime};
 
@@ -547,87 +546,6 @@ impl UnitState {
     }
 }
 
-/// Streaming detector for one unit: one [`UnitState`] bundled with its
-/// own shape and policy. Engines store the same three pieces in flat
-/// arenas instead; this standalone form serves tests and single-unit
-/// callers.
-#[derive(Debug)]
-pub struct UnitDetector {
-    state: UnitState,
-    /// Hour-of-day multipliers (all 1.0 when the diurnal model is off).
-    hourly_shape: [f64; 24],
-    policy: UnitPolicy,
-    /// Evidence capture when the config's tier enrolls this prefix.
-    evidence: Option<Box<UnitEvidence>>,
-}
-
-impl UnitDetector {
-    /// A detector for `prefix` with tuned `params` over `window`.
-    pub fn new(
-        prefix: Prefix,
-        params: UnitParams,
-        hourly_shape: [f64; 24],
-        config: &DetectorConfig,
-        window: Interval,
-    ) -> UnitDetector {
-        let evidence = enrolls(config.evidence, &prefix).then(|| Box::new(UnitEvidence::new()));
-        UnitDetector {
-            state: UnitState::new(prefix, params, config),
-            hourly_shape,
-            policy: UnitPolicy::new(config, window),
-            evidence,
-        }
-    }
-
-    /// The unit's prefix.
-    pub fn prefix(&self) -> Prefix {
-        self.state.prefix()
-    }
-
-    /// The tuned parameters in force.
-    pub fn params(&self) -> UnitParams {
-        self.state.params
-    }
-
-    /// Current belief that the unit is up.
-    pub fn belief(&self) -> f64 {
-        self.state.belief()
-    }
-
-    /// See [`UnitState::advance_to`].
-    pub fn advance_to(&mut self, t: UnixTime) {
-        self.state.advance_to(
-            &self.hourly_shape,
-            &self.policy,
-            t,
-            self.evidence.as_deref_mut(),
-        );
-    }
-
-    /// See [`UnitState::skip_to`].
-    pub fn skip_to(&mut self, t: UnixTime) {
-        self.state
-            .skip_to(&self.policy, t, self.evidence.as_deref_mut());
-    }
-
-    /// See [`UnitState::observe`].
-    pub fn observe(&mut self, t: UnixTime) {
-        self.state.observe(
-            &self.hourly_shape,
-            &self.policy,
-            t,
-            self.evidence.as_deref_mut(),
-        );
-    }
-
-    /// See [`UnitState::finish`].
-    pub fn finish(self) -> UnitReport {
-        let mut ev = self.evidence;
-        self.state
-            .finish(&self.hourly_shape, &self.policy, ev.as_deref_mut())
-    }
-}
-
 #[inline]
 fn from_lo_threshold(lo: f64) -> f64 {
     crate::belief::from_log_odds(lo)
@@ -674,6 +592,11 @@ impl UnitReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{AggregationPlan, PlannedUnit};
+    use crate::engine::DetectionEngine;
+    use crate::history::{BlockHistory, IndexedHistories};
+    use crate::index::BlockIndex;
+    use outage_types::Observation;
 
     fn block() -> Prefix {
         "192.0.2.0/24".parse().unwrap()
@@ -691,14 +614,50 @@ mod tests {
         }
     }
 
-    fn detector(params: UnitParams) -> UnitDetector {
-        UnitDetector::new(
-            block(),
-            params,
-            [1.0; 24],
-            &DetectorConfig::default(),
-            window(),
-        )
+    /// A one-unit engine judging `block()` with `params` under `cfg`,
+    /// against the hour-of-day `shape` (flat when `None`).
+    fn detector_with(
+        params: UnitParams,
+        shape: Option<[f64; 24]>,
+        cfg: &DetectorConfig,
+    ) -> DetectionEngine {
+        let histories = match shape {
+            None => IndexedHistories::from_parts(BlockIndex::new(), Vec::new()),
+            Some(hourly_shape) => {
+                let mut index = BlockIndex::new();
+                index.intern(block());
+                let history = BlockHistory {
+                    prefix: block(),
+                    lambda: params.lambda,
+                    total: 0,
+                    hourly_shape,
+                    shape_estimated: true,
+                };
+                IndexedHistories::from_parts(index, vec![history])
+            }
+        }
+        .expect("consistent parts");
+        let plan = AggregationPlan {
+            units: vec![PlannedUnit {
+                prefix: block(),
+                params,
+                members: vec![block()],
+            }],
+            uncovered: Vec::new(),
+        };
+        DetectionEngine::from_plan(cfg, plan, &histories, window(), None)
+    }
+
+    fn detector(params: UnitParams) -> DetectionEngine {
+        detector_with(params, None, &DetectorConfig::default())
+    }
+
+    fn observe(d: &mut DetectionEngine, t: u64) {
+        d.observe(Observation::new(UnixTime(t), block()));
+    }
+
+    fn finish(d: DetectionEngine) -> UnitReport {
+        d.finish().report.units.remove(0)
     }
 
     /// Feed arrivals every `step` seconds over `0..86_400`, silent during
@@ -707,10 +666,10 @@ mod tests {
         let mut d = detector(params);
         for t in (0..86_400).step_by(step as usize) {
             if !quiet.contains(&t) {
-                d.observe(UnixTime(t));
+                observe(&mut d, t);
             }
         }
-        d.finish()
+        finish(d)
     }
 
     #[test]
@@ -764,13 +723,13 @@ mod tests {
             use_exact_timestamps: false,
             ..DetectorConfig::default()
         };
-        let mut d = UnitDetector::new(block(), dense_params(), [1.0; 24], &cfg, window());
+        let mut d = detector_with(dense_params(), None, &cfg);
         for t in (0..86_400).step_by(10) {
             if !(30_130..30_430).contains(&t) {
-                d.observe(UnixTime(t));
+                observe(&mut d, t);
             }
         }
-        let r = d.finish();
+        let r = finish(d);
         assert_eq!(
             r.timeline.down_secs(),
             0,
@@ -803,9 +762,9 @@ mod tests {
             if (30_000..30_300).contains(&t) && t % 20 != 0 {
                 continue;
             }
-            d.observe(UnixTime(t));
+            observe(&mut d, t);
         }
-        let r = d.finish();
+        let r = finish(d);
         // 15 packets against an expectation of 30 still favours "up" by a
         // wide margin; no outage may be declared.
         assert_eq!(r.timeline.down_secs(), 0, "{:?}", r.timeline.down);
@@ -832,11 +791,12 @@ mod tests {
         let mut d = detector(dense_params());
         for t in (0..86_400).step_by(10) {
             if !(30_000..40_000).contains(&t) {
-                d.observe(UnixTime(t));
+                observe(&mut d, t);
             }
         }
-        assert!(d.belief() > 0.9, "belief {}", d.belief());
-        let r = d.finish();
+        let belief = d.belief(&block()).expect("covered");
+        assert!(belief > 0.9, "belief {belief}");
+        let r = finish(d);
         assert_eq!(r.timeline.down.len(), 1);
     }
 
@@ -845,10 +805,10 @@ mod tests {
         let mut d = detector(dense_params());
         for t in (0..86_400).step_by(10) {
             if !(20_000..24_000).contains(&t) && !(60_000..63_000).contains(&t) {
-                d.observe(UnixTime(t));
+                observe(&mut d, t);
             }
         }
-        let r = d.finish();
+        let r = finish(d);
         assert_eq!(r.timeline.down.len(), 2, "{:?}", r.timeline.down);
     }
 
@@ -871,16 +831,16 @@ mod tests {
                 use_exact_timestamps: false, // isolate the bin path
                 ..DetectorConfig::default()
             };
-            let mut d = UnitDetector::new(block(), params, shape, &cfg, window());
+            let mut d = detector_with(params, Some(shape), &cfg);
             // Traffic matching the shape: 1 per 200 s at night, 1 per 10 s
             // by day.
             for t in (0..43_200u64).step_by(200) {
-                d.observe(UnixTime(t));
+                observe(&mut d, t);
             }
             for t in (43_200..86_400u64).step_by(10) {
-                d.observe(UnixTime(t));
+                observe(&mut d, t);
             }
-            d.finish().timeline.down_secs()
+            finish(d).timeline.down_secs()
         };
         let without = run(false);
         let with = run(true);
@@ -907,13 +867,13 @@ mod tests {
             evidence: EvidenceConfig::Full,
             ..DetectorConfig::default()
         };
-        let mut d = UnitDetector::new(block(), dense_params(), [1.0; 24], &cfg, window());
+        let mut d = detector_with(dense_params(), None, &cfg);
         for t in (0..86_400).step_by(10) {
             if !(30_000..37_200).contains(&t) && !(60_130..60_430).contains(&t) {
-                d.observe(UnixTime(t));
+                observe(&mut d, t);
             }
         }
-        let r = d.finish();
+        let r = finish(d);
         assert!(!r.detections.is_empty());
         assert_eq!(r.evidence.len(), r.detections.len());
         for (rec, &(iv, conf)) in r.evidence.iter().zip(&r.detections) {

@@ -11,10 +11,10 @@
 //! [`DetectionEngine`] is that shared kernel: a single-threaded state
 //! machine owning the per-unit detectors, the routing table, the
 //! [`QuarantineGate`] (feed sentinel + quarantine interval tracking),
-//! and stray accounting. It is driven by a small typed input stream —
-//! [`EngineInput::Observe`], [`EngineInput::AdvanceWatermark`],
-//! [`EngineInput::SkipTo`] — and finished once at end of stream. The
-//! execution paths are thin adapters:
+//! and stray accounting. It is driven by three calls —
+//! [`DetectionEngine::observe`], [`DetectionEngine::advance_watermark`]
+//! and [`DetectionEngine::skip_to`] — and finished once at end of
+//! stream. The execution paths are thin adapters:
 //!
 //! * **Batch** ([`crate::pipeline::PassiveDetector::detect`]) replays
 //!   the slice through one engine and assembles its report.
@@ -29,7 +29,7 @@
 //!
 //! Because all three paths execute the same `observe`/`skip_to`/
 //! `advance_to`/`finish` call sequences on identical per-unit state
-//! machines ([`UnitState`]), their outputs are bit-identical — enforced
+//! machines (`UnitState`), their outputs are bit-identical — enforced
 //! by the three-way equivalence suite in
 //! `crates/core/tests/engine_equivalence.rs`.
 
@@ -37,31 +37,12 @@ use crate::aggregate::AggregationPlan;
 use crate::config::{ConfigError, DetectorConfig};
 use crate::detector::{UnitPolicy, UnitReport, UnitState};
 use crate::evidence::{enrolls, UnitEvidence};
-use crate::history::{HistorySource, ShapeTable};
+use crate::history::{IndexedHistories, ShapeTable};
 use crate::index::BlockIndex;
-use crate::model::LearnedModel;
-use crate::pipeline::{build_routing, unit_expectation_shape, DetectionReport, PassiveDetector};
+use crate::pipeline::{build_routing, unit_expectation_shape, DetectionReport};
 use crate::sentinel::{FeedHealth, FeedSentinel, SentinelConfig};
 use outage_obs::{Counter, Histogram, Obs, DURATION_BUCKETS};
 use outage_types::{Interval, IntervalSet, Observation, Prefix, UnixTime};
-
-/// One step of the typed input stream driving a [`DetectionEngine`].
-///
-/// Adapters with richer needs (epoch rotation, pre-routed worker
-/// batches) call the engine's named methods directly; this enum is the
-/// canonical single-stream surface.
-#[derive(Debug, Clone, Copy)]
-pub enum EngineInput {
-    /// One attributed arrival.
-    Observe(Observation),
-    /// Wall-clock progress without an arrival: closes sentinel buckets
-    /// and unit bins up to the given time (a deployment's timer tick).
-    AdvanceWatermark(UnixTime),
-    /// Jump every unit's bin clock past a span that must not be judged
-    /// (operator-driven exclusion; the gate issues these itself on
-    /// quarantine close).
-    SkipTo(UnixTime),
-}
 
 /// Pre-resolved quarantine-lifecycle metric handles (one atomic op per
 /// event; no registry lookups on the ingest path). Installed only by
@@ -366,13 +347,12 @@ impl UnitArena {
 
 /// The single-threaded incremental detection kernel (see module docs).
 ///
-/// Owns the per-unit [`UnitState`] state machines (in a flat
-/// [`UnitArena`]), the per-packet routing table, the optional
+/// Owns the per-unit `UnitState` state machines (in a flat
+/// `UnitArena`), the per-packet routing table, the optional
 /// [`QuarantineGate`], and stray accounting. Constructed from planned
-/// units ([`Self::from_plan`]), from learned histories
-/// ([`Self::from_histories`]), or warm-started from a checkpointed
-/// model ([`Self::from_model`]) — so every execution path gets warm
-/// start from the same constructor.
+/// units ([`Self::from_plan`]) — histories learned this run or read from
+/// a checkpointed model alike — so every execution path gets warm start
+/// from the same constructor.
 #[derive(Debug)]
 pub struct DetectionEngine {
     window: Interval,
@@ -393,62 +373,24 @@ impl DetectionEngine {
     /// An engine over pre-planned units. `histories` supplies the
     /// hour-of-day expectation shapes; `gate` (optional) guards the
     /// stream against feed faults.
-    pub fn from_plan<H: HistorySource + ?Sized>(
+    pub fn from_plan(
         config: &DetectorConfig,
         plan: AggregationPlan,
-        histories: &H,
+        histories: &IndexedHistories,
         window: Interval,
         gate: Option<QuarantineGate>,
     ) -> DetectionEngine {
         let (route, unit_of_id) = build_routing(&plan);
-        let policy = UnitPolicy::new(config, window);
-        let mut units = UnitArena::empty(policy);
-        units.shapes = ShapeTable::with_capacity(plan.units.len());
-        units.states = Vec::with_capacity(plan.units.len());
-        for u in &plan.units {
-            units
-                .shapes
-                .push(unit_expectation_shape(&u.members, histories, config));
-            units
-                .states
-                .push(UnitState::new(u.prefix, u.params, config));
-            units.enroll_last(config, &u.prefix);
-        }
+        let unit_only =
+            DetectionEngine::for_units(config, &plan, 0..plan.units.len(), histories, window);
         DetectionEngine {
-            window,
-            units,
             route,
             unit_of_id,
             members: plan.units.into_iter().map(|u| u.members).collect(),
             uncovered: plan.uncovered,
             gate,
-            strays: 0,
+            ..unit_only
         }
-    }
-
-    /// An engine planned from learned histories (the detector supplies
-    /// configuration and plan-stage instrumentation).
-    pub fn from_histories<H: HistorySource + ?Sized>(
-        detector: &PassiveDetector,
-        histories: &H,
-        window: Interval,
-        gate: Option<QuarantineGate>,
-    ) -> DetectionEngine {
-        let plan = detector.plan_units(histories);
-        DetectionEngine::from_plan(detector.config(), plan, histories, window, gate)
-    }
-
-    /// Warm start: an engine planned from a checkpointed
-    /// [`LearnedModel`] instead of a fresh history pass. Every
-    /// execution path (batch, streaming, parallel) builds on this one
-    /// constructor, so warm start behaves identically in all of them.
-    pub fn from_model(
-        detector: &PassiveDetector,
-        model: &LearnedModel,
-        window: Interval,
-        gate: Option<QuarantineGate>,
-    ) -> DetectionEngine {
-        DetectionEngine::from_histories(detector, model, window, gate)
     }
 
     /// An idle engine: a persistent gate but no units yet (the
@@ -469,11 +411,13 @@ impl DetectionEngine {
     /// A unit-only engine over a contiguous range of a plan's units (a
     /// parallel worker's shard): no routing table, no gate — the router
     /// owns both and feeds pre-routed [`Self::observe_unit`] calls.
-    pub(crate) fn for_units<H: HistorySource + ?Sized>(
+    /// [`Self::from_plan`] builds the whole plan's units here and adds
+    /// both.
+    pub(crate) fn for_units(
         config: &DetectorConfig,
         plan: &AggregationPlan,
         range: std::ops::Range<usize>,
-        histories: &H,
+        histories: &IndexedHistories,
         window: Interval,
     ) -> DetectionEngine {
         let policy = UnitPolicy::new(config, window);
@@ -566,15 +510,6 @@ impl DetectionEngine {
             .filter(|s| s.belief() < 0.5)
             .map(|s| (s.prefix(), s.belief()))
             .collect()
-    }
-
-    /// Apply one typed input step.
-    pub fn apply(&mut self, input: EngineInput) {
-        match input {
-            EngineInput::Observe(obs) => self.observe(obs),
-            EngineInput::AdvanceWatermark(t) => self.advance_watermark(t),
-            EngineInput::SkipTo(t) => self.skip_to(t),
-        }
     }
 
     /// One attributed arrival: gate first (faulted arrivals are not
@@ -705,11 +640,11 @@ impl DetectionEngine {
 
     /// Install a fresh unit set for `window` (streaming epoch
     /// promotion). The gate persists across installs.
-    pub(crate) fn install_units<H: HistorySource + ?Sized>(
+    pub(crate) fn install_units(
         &mut self,
         config: &DetectorConfig,
         plan: AggregationPlan,
-        histories: &H,
+        histories: &IndexedHistories,
         window: Interval,
     ) {
         let gate = self.gate.take();

@@ -11,7 +11,7 @@
 //!
 //! Enrollment is decided by a stable hash of the unit's prefix
 //! ([`prefix_bucket`]) against the configured
-//! [`EvidenceConfig`](crate::config::EvidenceConfig) tier, never by
+//! [`EvidenceConfig`] tier, never by
 //! unit order — so a sampled tier enrolls the *same* units at any
 //! worker count.
 

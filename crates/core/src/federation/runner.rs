@@ -7,8 +7,8 @@ use crate::sentinel::{FeedHealth, SentinelConfig};
 use outage_obs::Obs;
 use outage_types::{Interval, Observation, UnixTime};
 
-/// A per-vantage runner owning its own [`PassiveDetector`], sentinel
-/// configuration, and [`Obs`] scope.
+/// A per-vantage runner owning its own [`PassiveDetector`] (sentinel
+/// included) and [`Obs`] scope.
 ///
 /// The isolation is the point: each vantage's sentinel watches only its
 /// own shard's aggregate rate, and each vantage's metrics land in its
@@ -19,7 +19,9 @@ use outage_types::{Interval, Observation, UnixTime};
 pub struct VantageRunner {
     vantage: usize,
     detector: PassiveDetector,
-    sentinel: Option<SentinelConfig>,
+    /// A sentinel configuration [`Self::with_sentinel`] rejected,
+    /// reported by the next run.
+    invalid_sentinel: Option<ConfigError>,
 }
 
 /// One vantage's detection outcome, ready for
@@ -46,13 +48,17 @@ impl VantageRunner {
         Ok(VantageRunner {
             vantage,
             detector: PassiveDetector::try_new(config)?.with_obs(Obs::new()),
-            sentinel: None,
+            invalid_sentinel: None,
         })
     }
 
-    /// Guard this vantage's detection pass with a feed sentinel.
+    /// Guard this vantage's detection pass with a feed sentinel. An
+    /// invalid configuration is reported by [`Self::run_with_model`].
     pub fn with_sentinel(mut self, sentinel: SentinelConfig) -> VantageRunner {
-        self.sentinel = Some(sentinel);
+        match self.detector.clone().with_sentinel(sentinel) {
+            Ok(detector) => self.detector = detector,
+            Err(e) => self.invalid_sentinel = Some(e),
+        }
         self
     }
 
@@ -81,50 +87,21 @@ impl VantageRunner {
         self.detector.learn_model(observations, window, workers)
     }
 
-    /// Self-calibrated two-pass run over this vantage's shard: learn,
-    /// then detect (sentinel-guarded when configured).
-    pub fn run(
-        &self,
-        observations: &[Observation],
-        window: Interval,
-    ) -> Result<VantageReport, ConfigError> {
-        let histories = self
-            .detector
-            .learn_histories_indexed(observations.iter().copied(), window);
-        self.detect_report(&histories, observations, window)
-    }
-
     /// Detection pass over this vantage's shard from an already-learned
-    /// (possibly fused, possibly warm-started) model.
+    /// (possibly fused, possibly warm-started) model, sentinel-guarded
+    /// when configured.
     pub fn run_with_model(
         &self,
         model: &LearnedModel,
         observations: &[Observation],
         window: Interval,
     ) -> Result<VantageReport, ConfigError> {
-        self.detect_report(model, observations, window)
-    }
-
-    fn detect_report<H>(
-        &self,
-        histories: &H,
-        observations: &[Observation],
-        window: Interval,
-    ) -> Result<VantageReport, ConfigError>
-    where
-        H: crate::history::HistorySource + ?Sized,
-    {
-        let report = match &self.sentinel {
-            Some(cfg) => self.detector.detect_with_sentinel(
-                histories,
-                observations.iter().copied(),
-                window,
-                cfg,
-            )?,
-            None => self
-                .detector
-                .detect(histories, observations.iter().copied(), window),
-        };
+        if let Some(e) = &self.invalid_sentinel {
+            return Err(e.clone());
+        }
+        let report = self
+            .detector
+            .detect(model.indexed(), observations.iter().copied(), window);
         Ok(VantageReport {
             vantage: self.vantage,
             report,
@@ -136,7 +113,7 @@ impl VantageRunner {
     /// The sentinel's final state, read back from this vantage's own
     /// registry (where every detection path exports it).
     fn final_health(&self) -> Option<FeedHealth> {
-        self.sentinel.as_ref()?;
+        self.detector.sentinel()?;
         match self.obs().registry.value("po_sentinel_health", &[]) {
             Some(h) if h as i64 == 0 => Some(FeedHealth::Healthy),
             Some(h) if h as i64 == 1 => Some(FeedHealth::Degraded),

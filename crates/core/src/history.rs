@@ -10,7 +10,6 @@
 
 use crate::index::BlockIndex;
 use outage_types::{Interval, Observation, Prefix, UnixTime};
-use std::collections::HashMap;
 
 /// Fraction of the quietest hours discarded by the robust rate estimate.
 const TRIM_FRACTION: f64 = 0.25;
@@ -186,22 +185,6 @@ impl HistoryBuilder {
         }
     }
 
-    /// Finish: one [`BlockHistory`] per observed block.
-    pub fn build(self) -> HashMap<Prefix, BlockHistory> {
-        let hours = self.hours;
-        let window = self.window;
-        let counts = self.counts;
-        self.index
-            .prefixes()
-            .iter()
-            .enumerate()
-            .map(|(id, &prefix)| {
-                let row = &counts[id * hours..(id + 1) * hours];
-                (prefix, build_history(prefix, row, window))
-            })
-            .collect()
-    }
-
     /// Finish keeping the dense index: histories addressable by block id
     /// as well as by prefix.
     pub fn build_indexed(self) -> IndexedHistories {
@@ -324,56 +307,6 @@ impl ShapeTable {
     }
 }
 
-/// Read access to learned per-block histories, however they are stored.
-///
-/// The pipeline accepts either the classic `HashMap<Prefix,
-/// BlockHistory>` or the dense [`IndexedHistories`]; planning and shape
-/// blending only need lookup and iteration, so both work unchanged.
-pub trait HistorySource {
-    /// The history for a block, if learned.
-    fn history(&self, p: &Prefix) -> Option<&BlockHistory>;
-
-    /// Iterate all learned `(block, history)` pairs.
-    fn iter_histories(&self) -> Box<dyn Iterator<Item = (Prefix, &BlockHistory)> + '_>;
-
-    /// Number of blocks with a learned history.
-    fn history_count(&self) -> usize;
-}
-
-impl HistorySource for HashMap<Prefix, BlockHistory> {
-    fn history(&self, p: &Prefix) -> Option<&BlockHistory> {
-        self.get(p)
-    }
-
-    fn iter_histories(&self) -> Box<dyn Iterator<Item = (Prefix, &BlockHistory)> + '_> {
-        Box::new(self.iter().map(|(p, h)| (*p, h)))
-    }
-
-    fn history_count(&self) -> usize {
-        self.len()
-    }
-}
-
-impl HistorySource for IndexedHistories {
-    fn history(&self, p: &Prefix) -> Option<&BlockHistory> {
-        self.get(p)
-    }
-
-    fn iter_histories(&self) -> Box<dyn Iterator<Item = (Prefix, &BlockHistory)> + '_> {
-        Box::new(
-            self.index
-                .prefixes()
-                .iter()
-                .zip(self.histories.iter())
-                .map(|(p, h)| (*p, h)),
-        )
-    }
-
-    fn history_count(&self) -> usize {
-        self.histories.len()
-    }
-}
-
 pub(crate) fn build_history(prefix: Prefix, hourly: &[u64], window: Interval) -> BlockHistory {
     let total: u64 = hourly.iter().sum();
     let lambda = trimmed_mean_rate(hourly, window);
@@ -489,6 +422,14 @@ mod tests {
         "192.0.2.0/24".parse().unwrap()
     }
 
+    /// The history `hb` learned for `b`.
+    fn learned(hb: HistoryBuilder, b: &Prefix) -> BlockHistory {
+        hb.build_indexed()
+            .get(b)
+            .expect("block was recorded")
+            .clone()
+    }
+
     #[test]
     fn steady_rate_is_recovered() {
         let b = block();
@@ -497,7 +438,7 @@ mod tests {
         for t in (0..86_400).step_by(20) {
             hb.record(&obs(t, &b));
         }
-        let h = &hb.build()[&b];
+        let h = &learned(hb, &b);
         assert!((h.lambda - 0.05).abs() < 0.005, "lambda {}", h.lambda);
         assert_eq!(h.total, 4_320);
     }
@@ -512,7 +453,7 @@ mod tests {
                 hb.record(&obs(t, &b));
             }
         }
-        let h = &hb.build()[&b];
+        let h = &learned(hb, &b);
         // naive mean would be ≈ 0.042; the trimmed estimate stays ≈ 0.05
         assert!(
             (h.lambda - 0.05).abs() < 0.005,
@@ -529,7 +470,7 @@ mod tests {
         for t in (0..86_400).step_by(7_200) {
             hb.record(&obs(t, &b));
         }
-        let h = &hb.build()[&b];
+        let h = &learned(hb, &b);
         assert!(h.lambda > 0.0);
         assert_eq!(h.total, 12);
         // flat shape with so little data
@@ -555,9 +496,9 @@ mod tests {
         for t in (0..86_400).step_by(400) {
             hb.record(&obs(t, &b2));
         }
-        let hists = hb.build();
+        let hists = hb.build_indexed();
         assert_eq!(hists.len(), 2);
-        assert!(hists[&b1].lambda > hists[&b2].lambda * 5.0);
+        assert!(hists.get(&b1).unwrap().lambda > hists.get(&b2).unwrap().lambda * 5.0);
     }
 
     #[test]
@@ -571,7 +512,7 @@ mod tests {
         for t in (43_200..86_400).step_by(20) {
             hb.record(&obs(t, &b));
         }
-        let h = &hb.build()[&b];
+        let h = &learned(hb, &b);
         let am: f64 = h.hourly_shape[..12].iter().sum::<f64>() / 12.0;
         let pm: f64 = h.hourly_shape[12..].iter().sum::<f64>() / 12.0;
         assert!(pm > am * 1.5, "am {am} pm {pm}");
@@ -587,7 +528,7 @@ mod tests {
     #[test]
     fn record_all_and_empty_build() {
         let hb = HistoryBuilder::new(day());
-        assert!(hb.build().is_empty());
+        assert!(hb.build_indexed().is_empty());
         let b = block();
         let mut hb = HistoryBuilder::new(day());
         hb.record_all((0..100).map(|i| obs(i * 100, &b)));
@@ -633,34 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_hashmap_builds_agree() {
-        let b1 = block();
-        let b2: Prefix = "198.51.100.0/24".parse().unwrap();
-        let mut hb = HistoryBuilder::new(day());
-        for t in (0..86_400).step_by(25) {
-            hb.record(&obs(t, &b1));
-        }
-        for t in (0..86_400).step_by(250) {
-            hb.record(&obs(t, &b2));
-        }
-        let mut hb2 = HistoryBuilder::new(day());
-        for t in (0..86_400).step_by(25) {
-            hb2.record(&obs(t, &b1));
-        }
-        for t in (0..86_400).step_by(250) {
-            hb2.record(&obs(t, &b2));
-        }
-        let map = hb.build();
-        let ix = hb2.build_indexed();
-        assert_eq!(ix.len(), map.len());
-        assert!(!ix.is_empty());
-        for (p, h) in &map {
-            assert_eq!(ix.get(p), Some(h));
-        }
-        assert_eq!(ix.get(&"203.0.113.0/24".parse().unwrap()), None);
-    }
-
-    #[test]
     fn merge_empty_and_into_empty() {
         let b = block();
         let mut full = HistoryBuilder::new(day());
@@ -672,7 +585,7 @@ mod tests {
         // full ← empty
         e.merge(HistoryBuilder::new(day()));
         assert_eq!(e.block_count(), 1);
-        assert_eq!(e.build()[&b].total, 100);
+        assert_eq!(learned(e, &b).total, 100);
     }
 
     #[test]
@@ -684,7 +597,7 @@ mod tests {
         for t in (0..5_400).step_by(10) {
             hb.record(&obs(t, &b));
         }
-        let h = &hb.build()[&b];
+        let h = &learned(hb, &b);
         assert!((h.lambda - 0.1).abs() < 0.02, "lambda {}", h.lambda);
     }
 }

@@ -74,22 +74,19 @@ pub mod tuning;
 pub use aggregate::{plan, AggregationPlan, PlannedUnit};
 pub use belief::{Belief, BeliefClamp};
 pub use config::{AggregationConfig, ConfigError, DetectorConfig, EvidenceConfig};
-pub use correlate::{fuse_beliefs, fuse_timelines};
+pub use correlate::fuse_timelines;
 pub use coverage::{coverage_by_width, spatial_coverage, CoveragePoint, SpatialCoverage};
-pub use detector::{UnitDetector, UnitDiagnostics, UnitReport};
-pub use engine::{DetectionEngine, EngineInput, EngineOutput, QuarantineGate};
+pub use detector::{UnitDiagnostics, UnitReport};
+pub use engine::{DetectionEngine, EngineOutput, QuarantineGate};
 pub use evidence::{event_id, EventEvidence, EvidenceSample, EvidenceTrigger};
 pub use federation::{
     fuse_models, FederatedReport, FederationError, FederationRouter, FusionPolicy, GlobalEvent,
     VantagePlan, VantageReport, VantageRunner, VantageSummary,
 };
-pub use history::{f64_bits_eq, BlockHistory, HistoryBuilder, HistorySource, IndexedHistories};
+pub use history::{f64_bits_eq, BlockHistory, HistoryBuilder, IndexedHistories};
 pub use index::BlockIndex;
 pub use model::{LearnedModel, ModelError};
-pub use parallel::{
-    detect_parallel, detect_parallel_from_model, detect_parallel_with_sentinel,
-    try_detect_parallel, ShardPartition, WorkerPanic,
-};
+pub use parallel::{detect_parallel, try_detect_parallel, ShardPartition, WorkerPanic};
 pub use pipeline::{DetectionReport, PassiveDetector};
 pub use sentinel::{FeedHealth, FeedSentinel, SentinelAccounting, SentinelConfig};
 pub use service::{

@@ -31,9 +31,9 @@
 //! * Anything else (gap, or an overlap whose starts differ by a
 //!   fraction of an hour) is a typed [`ModelError`].
 
-use crate::history::{build_history, BlockHistory, HistorySource, IndexedHistories};
+use crate::history::{build_history, BlockHistory, IndexedHistories};
 use crate::index::BlockIndex;
-use outage_types::{Interval, Observation, Prefix};
+use outage_types::{Interval, Observation};
 
 /// Why a [`LearnedModel`] could not be assembled or merged.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -361,24 +361,10 @@ fn hours_of(m: &LearnedModel) -> usize {
     m.hours
 }
 
-impl HistorySource for LearnedModel {
-    fn history(&self, p: &Prefix) -> Option<&BlockHistory> {
-        self.indexed.get(p)
-    }
-
-    fn iter_histories(&self) -> Box<dyn Iterator<Item = (Prefix, &BlockHistory)> + '_> {
-        self.indexed.iter_histories()
-    }
-
-    fn history_count(&self) -> usize {
-        self.indexed.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use outage_types::{Observation, UnixTime};
+    use outage_types::{Observation, Prefix, UnixTime};
 
     fn p4(i: u32) -> Prefix {
         Prefix::v4_raw(0x0A00_0000 + (i << 8), 24)

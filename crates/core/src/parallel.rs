@@ -30,23 +30,23 @@
 //!
 //! The feed sentinel is inherently sequential — it watches the *global*
 //! arrival order — so the router thread runs the engine's
-//! [`QuarantineGate`], exactly as the sequential pass does. Quarantine
+//! [`crate::QuarantineGate`], exactly as the sequential pass does. Quarantine
 //! control flows to the workers **in-band** on the same channels as the
 //! observation batches:
 //!
-//! * While the feed is healthy, the router sends [`Msg::Batch`]es of
+//! * While the feed is healthy, the router sends `Msg::Batch`es of
 //!   `(local unit, arrival time)` pairs.
 //! * When the gate opens a quarantine, the router simply stops
 //!   routing (faulted arrivals are not evidence, same as sequential).
 //! * When it closes one — on recovery at time `t`, or at the window end
 //!   — the router flushes every worker's pending batch and then
-//!   broadcasts [`Msg::SkipTo`]`(t)` to every worker, which jumps each
+//!   broadcasts `Msg::SkipTo(t)` to every worker, which jumps each
 //!   of its detectors past the faulted span.
 //!
 //! Because the channel preserves order, every detector sees the same
 //! `observe`/`skip_to` call sequence it would in the sequential
-//! [`PassiveDetector::detect_with_sentinel`] — timelines and the
-//! reported quarantined set are identical, for any worker count.
+//! [`PassiveDetector::detect`] under the same sentinel — timelines and
+//! the reported quarantined set are identical, for any worker count.
 //!
 //! ## Worker failure
 //!
@@ -54,16 +54,14 @@
 //! panic: the router notices the closed channel (or the recorded panic
 //! at join), stops routing, drains the remaining workers, and
 //! [`try_detect_parallel`] returns [`WorkerPanic`] naming the dead
-//! worker. The panicking wrappers ([`detect_parallel`] and friends)
-//! propagate that same message.
+//! worker. The panicking wrapper [`detect_parallel`] propagates that
+//! same message.
 
-use crate::config::{ConfigError, DetectorConfig};
+use crate::config::DetectorConfig;
 use crate::detector::UnitReport;
-use crate::engine::{DetectionEngine, QuarantineGate};
-use crate::history::HistorySource;
-use crate::model::LearnedModel;
+use crate::engine::DetectionEngine;
+use crate::history::IndexedHistories;
 use crate::pipeline::{build_routing, DetectionReport, PassiveDetector};
-use crate::sentinel::{FeedSentinel, SentinelConfig};
 use outage_obs::span;
 use outage_types::{Interval, IntervalSet, Observation, UnixTime};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -166,8 +164,8 @@ impl ShardPartition {
     }
 }
 
-/// A detection worker thread died mid-run. Returned by the
-/// [`try_detect_parallel`] family after the remaining workers were
+/// A detection worker thread died mid-run. Returned by
+/// [`try_detect_parallel`] after the remaining workers were
 /// drained and joined — the run does not hang and no other worker is
 /// left mid-batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,22 +207,22 @@ enum Msg {
     SkipTo(UnixTime),
 }
 
-/// Run the detection pass across `workers` threads. History learning and
-/// planning stay sequential here (see
-/// [`PassiveDetector::learn_histories_parallel`] for the sharded history
-/// pass); only per-unit streaming detection is parallelized.
+/// Run the detection pass across `workers` threads, guarded by the
+/// detector's feed sentinel when one is configured. History learning
+/// and planning stay sequential here (see
+/// [`PassiveDetector::learn_model`] for the sharded history pass); only
+/// per-unit streaming detection is parallelized.
 ///
 /// Panics if a worker thread panics; use [`try_detect_parallel`] to
 /// handle that as a typed error instead.
-pub fn detect_parallel<H, I>(
+pub fn detect_parallel<I>(
     detector: &PassiveDetector,
-    histories: &H,
+    histories: &IndexedHistories,
     observations: I,
     window: Interval,
     workers: usize,
 ) -> DetectionReport
 where
-    H: HistorySource + ?Sized,
     I: IntoIterator<Item = Observation>,
 {
     match try_detect_parallel(detector, histories, observations, window, workers) {
@@ -235,94 +233,30 @@ where
 
 /// [`detect_parallel`] returning a typed [`WorkerPanic`] instead of
 /// panicking when a worker thread dies.
-pub fn try_detect_parallel<H, I>(
+pub fn try_detect_parallel<I>(
     detector: &PassiveDetector,
-    histories: &H,
+    histories: &IndexedHistories,
     observations: I,
     window: Interval,
     workers: usize,
 ) -> Result<DetectionReport, WorkerPanic>
 where
-    H: HistorySource + ?Sized,
     I: IntoIterator<Item = Observation>,
 {
-    detect_parallel_inner(
-        detector,
-        histories,
-        observations,
-        window,
-        workers,
-        None,
-        None,
-    )
+    detect_parallel_inner(detector, histories, observations, window, workers, None)
 }
 
-/// [`detect_parallel`] warm-started from a checkpointed model: units are
-/// planned from the model's stored histories, so the result is identical
-/// to the sequential [`PassiveDetector::detect`] over the same model —
-/// one learning pass serves any worker count.
-pub fn detect_parallel_from_model<I>(
+fn detect_parallel_inner<I>(
     detector: &PassiveDetector,
-    model: &LearnedModel,
+    histories: &IndexedHistories,
     observations: I,
     window: Interval,
     workers: usize,
-) -> DetectionReport
-where
-    I: IntoIterator<Item = Observation>,
-{
-    match detect_parallel_inner(detector, model, observations, window, workers, None, None) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`detect_parallel`] guarded by a feed sentinel: the router thread
-/// runs the quarantine gate over the global arrival order and broadcasts
-/// quarantine boundaries in-band (see the module docs), so the result —
-/// including [`DetectionReport::quarantined`] — is identical to the
-/// sequential [`PassiveDetector::detect_with_sentinel`].
-pub fn detect_parallel_with_sentinel<H, I>(
-    detector: &PassiveDetector,
-    histories: &H,
-    observations: I,
-    window: Interval,
-    workers: usize,
-    sentinel: &SentinelConfig,
-) -> Result<DetectionReport, ConfigError>
-where
-    H: HistorySource + ?Sized,
-    I: IntoIterator<Item = Observation>,
-{
-    sentinel.validate()?;
-    match detect_parallel_inner(
-        detector,
-        histories,
-        observations,
-        window,
-        workers,
-        Some(sentinel),
-        None,
-    ) {
-        Ok(report) => Ok(report),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn detect_parallel_inner<H, I>(
-    detector: &PassiveDetector,
-    histories: &H,
-    observations: I,
-    window: Interval,
-    workers: usize,
-    sentinel_cfg: Option<&SentinelConfig>,
     // Test hook: make this worker panic on its first message, to
     // exercise the drain path end to end.
     inject_fault: Option<usize>,
 ) -> Result<DetectionReport, WorkerPanic>
 where
-    H: HistorySource + ?Sized,
     I: IntoIterator<Item = Observation>,
 {
     let workers = workers.max(1);
@@ -362,8 +296,7 @@ where
     let skipto_total = registry.counter("po_router_skipto_total", &[]);
     let queue_depth = registry.gauge("po_router_queue_depth", &[]);
 
-    let mut gate = sentinel_cfg
-        .map(|cfg| QuarantineGate::from_sentinel(FeedSentinel::new(*cfg, window.start)));
+    let mut gate = detector.gate(window);
 
     // Drained batch buffers flow back to the router through this pool
     // and are reused instead of reallocated per send. Total live
@@ -594,6 +527,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::LearnedModel;
+    use crate::sentinel::SentinelConfig;
     use outage_types::{Prefix, UnixTime};
 
     fn make_observations() -> (Vec<Observation>, Interval) {
@@ -667,7 +602,7 @@ mod tests {
     fn parallel_matches_sequential() {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
-        let histories = det.learn_histories(obs.iter().copied(), window);
+        let histories = det.learn_histories_indexed(obs.iter().copied(), window);
         let seq = det.detect(&histories, obs.iter().copied(), window);
         for workers in [1, 2, 4] {
             let par = detect_parallel(&det, &histories, obs.iter().copied(), window, workers);
@@ -687,13 +622,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_accepts_indexed_histories() {
+    fn sequential_and_sharded_learning_feed_the_same_verdicts() {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
-        let map = det.learn_histories(obs.iter().copied(), window);
-        let indexed = det.learn_histories_parallel(&obs, window, 4);
-        let a = detect_parallel(&det, &map, obs.iter().copied(), window, 2);
-        let b = detect_parallel(&det, &indexed, obs.iter().copied(), window, 2);
+        let sequential = det.learn_histories_indexed(obs.iter().copied(), window);
+        let sharded = det.learn_model(&obs, window, 4);
+        let a = detect_parallel(&det, &sequential, obs.iter().copied(), window, 2);
+        let b = detect_parallel(&det, sharded.indexed(), obs.iter().copied(), window, 2);
         for i in 0..12u32 {
             let blk = Prefix::v4_raw(0x0A00_0000 + (i << 8), 24);
             assert_eq!(a.timeline_for(&blk), b.timeline_for(&blk));
@@ -704,7 +639,7 @@ mod tests {
     fn parallel_detects_the_outage() {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
-        let histories = det.learn_histories(obs.iter().copied(), window);
+        let histories = det.learn_histories_indexed(obs.iter().copied(), window);
         let par = detect_parallel(&det, &histories, obs.iter().copied(), window, 4);
         let victim = Prefix::v4_raw(0x0A00_0000 + (3 << 8), 24);
         let tl = par.timeline_for(&victim).unwrap();
@@ -716,10 +651,9 @@ mod tests {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
         let model = LearnedModel::learn(obs.iter().copied(), window);
-        let seq = det.detect(&model, obs.iter().copied(), window);
+        let seq = det.detect(model.indexed(), obs.iter().copied(), window);
         for workers in [1, 4] {
-            let par =
-                detect_parallel_from_model(&det, &model, obs.iter().copied(), window, workers);
+            let par = detect_parallel(&det, model.indexed(), obs.iter().copied(), window, workers);
             assert_eq!(par.covered_blocks(), seq.covered_blocks());
             for i in 0..12u32 {
                 let b = Prefix::v4_raw(0x0A00_0000 + (i << 8), 24);
@@ -736,7 +670,7 @@ mod tests {
     fn more_workers_than_units_is_fine() {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
-        let histories = det.learn_histories(obs.iter().copied(), window);
+        let histories = det.learn_histories_indexed(obs.iter().copied(), window);
         let par = detect_parallel(&det, &histories, obs.iter().copied(), window, 64);
         assert_eq!(par.covered_blocks(), 12);
     }
@@ -745,19 +679,11 @@ mod tests {
     fn worker_panic_is_a_typed_error_that_names_the_worker() {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
-        let histories = det.learn_histories(obs.iter().copied(), window);
+        let histories = det.learn_histories_indexed(obs.iter().copied(), window);
         // Inject a panic into worker 1 of 3; the router must drain the
         // other two and return a typed error, not hang or panic.
-        let err = detect_parallel_inner(
-            &det,
-            &histories,
-            obs.iter().copied(),
-            window,
-            3,
-            None,
-            Some(1),
-        )
-        .unwrap_err();
+        let err = detect_parallel_inner(&det, &histories, obs.iter().copied(), window, 3, Some(1))
+            .unwrap_err();
         assert_eq!(err.worker, 1);
         assert!(
             err.message.contains("injected worker fault"),
@@ -772,7 +698,7 @@ mod tests {
     fn try_detect_parallel_succeeds_on_healthy_workers() {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
-        let histories = det.learn_histories(obs.iter().copied(), window);
+        let histories = det.learn_histories_indexed(obs.iter().copied(), window);
         let report = try_detect_parallel(&det, &histories, obs.iter().copied(), window, 4).unwrap();
         assert_eq!(report.covered_blocks(), 12);
     }
@@ -780,23 +706,14 @@ mod tests {
     #[test]
     fn sentinel_parallel_matches_sequential() {
         let (obs, window) = blacked_out_fleet(43_200..45_000);
-        let det = PassiveDetector::new(DetectorConfig::default());
-        let histories = det.learn_histories(obs.iter().copied(), window);
-        let cfg = SentinelConfig::default();
-        let seq = det
-            .detect_with_sentinel(&histories, obs.iter().copied(), window, &cfg)
+        let det = PassiveDetector::new(DetectorConfig::default())
+            .with_sentinel(SentinelConfig::default())
             .unwrap();
+        let histories = det.learn_histories_indexed(obs.iter().copied(), window);
+        let seq = det.detect(&histories, obs.iter().copied(), window);
         assert!(!seq.quarantined.is_empty(), "fixture must quarantine");
         for workers in [1, 2, 4, 8] {
-            let par = detect_parallel_with_sentinel(
-                &det,
-                &histories,
-                obs.iter().copied(),
-                window,
-                workers,
-                &cfg,
-            )
-            .unwrap();
+            let par = detect_parallel(&det, &histories, obs.iter().copied(), window, workers);
             assert_eq!(
                 par.quarantined, seq.quarantined,
                 "quarantine differs at {workers} workers"
@@ -819,12 +736,11 @@ mod tests {
         // window end via the in-band SkipTo, same as sequential.
         let (mut obs, window) = blacked_out_fleet(0..0);
         obs.retain(|o| o.time.secs() < 60_000);
-        let det = PassiveDetector::new(DetectorConfig::default());
-        let histories = det.learn_histories(obs.iter().copied(), window);
-        let cfg = SentinelConfig::default();
-        let par =
-            detect_parallel_with_sentinel(&det, &histories, obs.iter().copied(), window, 3, &cfg)
-                .unwrap();
+        let det = PassiveDetector::new(DetectorConfig::default())
+            .with_sentinel(SentinelConfig::default())
+            .unwrap();
+        let histories = det.learn_histories_indexed(obs.iter().copied(), window);
+        let par = detect_parallel(&det, &histories, obs.iter().copied(), window, 3);
         assert!(!par.quarantined.is_empty());
         for u in &par.units {
             assert!(
@@ -837,20 +753,5 @@ mod tests {
                 u.timeline.down
             );
         }
-    }
-
-    #[test]
-    fn invalid_sentinel_config_is_a_typed_error() {
-        let (obs, window) = make_observations();
-        let det = PassiveDetector::new(DetectorConfig::default());
-        let histories = det.learn_histories(obs.iter().copied(), window);
-        let bad = SentinelConfig {
-            recovery_buckets: 0,
-            ..SentinelConfig::default()
-        };
-        let err =
-            detect_parallel_with_sentinel(&det, &histories, obs.iter().copied(), window, 2, &bad)
-                .unwrap_err();
-        assert_eq!(err, ConfigError::SentinelNoRecovery);
     }
 }

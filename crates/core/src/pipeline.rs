@@ -7,8 +7,8 @@
 //!    block's rate model ([`HistoryBuilder`]).
 //! 2. **Planning** — tune parameters per block and pool sparse blocks
 //!    into aggregates ([`crate::aggregate::plan`]).
-//! 3. **Detection pass** — stream the observations again, routing each to
-//!    its detection unit's streaming [`UnitDetector`].
+//! 3. **Detection pass** — stream the observations again through one
+//!    [`DetectionEngine`], which routes each to its detection unit.
 //!
 //! In production the "history" would be yesterday's traffic; in a
 //! one-shot evaluation the same window serves both roles (the robust
@@ -20,13 +20,12 @@ use crate::config::{ConfigError, DetectorConfig};
 use crate::detector::{UnitDiagnostics, UnitReport};
 use crate::engine::{fill_evidence_quarantine, DetectionEngine, EngineOutput, QuarantineGate};
 use crate::evidence::EventEvidence;
-use crate::history::{BlockHistory, HistoryBuilder, HistorySource, IndexedHistories};
+use crate::history::{HistoryBuilder, IndexedHistories};
 use crate::index::BlockIndex;
 use crate::model::LearnedModel;
 use crate::sentinel::{FeedSentinel, SentinelConfig};
 use outage_obs::{span, Obs, Registry, DURATION_BUCKETS, LATENCY_BUCKETS};
 use outage_types::{Interval, IntervalSet, Observation, OutageEvent, Prefix, Timeline};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Outcome of a full detection run.
@@ -251,6 +250,9 @@ impl DetectionReport {
 #[derive(Debug, Clone, Default)]
 pub struct PassiveDetector {
     config: DetectorConfig,
+    /// Feed sentinel guarding every detection pass, when set (validated
+    /// once, by [`Self::with_sentinel`]).
+    sentinel: Option<SentinelConfig>,
     /// Observability bundle: always present (the default registry is
     /// simply never scraped), so no stage needs `Option` plumbing.
     obs: Obs,
@@ -271,6 +273,7 @@ impl PassiveDetector {
         config.validate()?;
         Ok(PassiveDetector {
             config,
+            sentinel: None,
             obs: Obs::default(),
         })
     }
@@ -278,6 +281,30 @@ impl PassiveDetector {
     /// The configuration in force.
     pub fn config(&self) -> &DetectorConfig {
         &self.config
+    }
+
+    /// Guard every detection pass with a feed sentinel: spans where the
+    /// *sensor* looks faulted (aggregate arrival rate collapsed) are
+    /// quarantined — no unit judges them, and they are reported in
+    /// [`DetectionReport::quarantined`] for evaluation to exclude.
+    /// History is still learned from the full stream: a faulted span
+    /// depresses learned rates slightly, in the conservative direction.
+    pub fn with_sentinel(mut self, cfg: SentinelConfig) -> Result<PassiveDetector, ConfigError> {
+        cfg.validate()?;
+        self.sentinel = Some(cfg);
+        Ok(self)
+    }
+
+    /// The sentinel configuration in force, if any.
+    pub(crate) fn sentinel(&self) -> Option<&SentinelConfig> {
+        self.sentinel.as_ref()
+    }
+
+    /// A fresh quarantine gate for a pass over `window`, when a sentinel
+    /// is configured.
+    pub(crate) fn gate(&self, window: Interval) -> Option<QuarantineGate> {
+        self.sentinel
+            .map(|cfg| QuarantineGate::from_sentinel(FeedSentinel::new(cfg, window.start)))
     }
 
     /// Attach an observability bundle: every subsequent learn/plan/
@@ -303,58 +330,23 @@ impl PassiveDetector {
     }
 
     /// Learn per-block histories from one pass over a stream.
-    pub fn learn_histories<I: IntoIterator<Item = Observation>>(
-        &self,
-        observations: I,
-        window: Interval,
-    ) -> HashMap<Prefix, BlockHistory> {
-        let mut sp = span!(self.obs, "learn");
-        let t0 = Instant::now();
-        let mut hb = HistoryBuilder::new(window);
-        hb.record_all(observations);
-        sp.field("blocks", hb.block_count());
-        self.observe_stage("learn", t0);
-        hb.build()
-    }
-
-    /// [`Self::learn_histories`] keeping the dense block index: the
-    /// result routes by flat id lookup instead of per-prefix hashing.
     pub fn learn_histories_indexed<I: IntoIterator<Item = Observation>>(
         &self,
         observations: I,
         window: Interval,
     ) -> IndexedHistories {
-        let mut sp = span!(self.obs, "learn");
-        let t0 = Instant::now();
-        let mut hb = HistoryBuilder::new(window);
-        hb.record_all(observations);
-        sp.field("blocks", hb.block_count());
-        self.observe_stage("learn", t0);
-        hb.build_indexed()
+        self.learn_sequential(observations, window).build_indexed()
     }
 
-    /// Learn histories sharded across `workers` threads: the slice is
-    /// split into contiguous chunks, each counted by its own
-    /// [`HistoryBuilder`], and the per-shard builders are merged in
-    /// shard order — which reproduces the sequential result exactly
-    /// (counts are sums; merge order preserves first-appearance ids).
-    pub fn learn_histories_parallel(
-        &self,
-        observations: &[Observation],
-        window: Interval,
-        workers: usize,
-    ) -> IndexedHistories {
-        match self.learn_builder(observations, window, workers) {
-            None => self.learn_histories_indexed(observations.iter().copied(), window),
-            Some(hb) => hb.build_indexed(),
-        }
-    }
-
-    /// Learn a checkpointable [`LearnedModel`]: the same sharded pass as
-    /// [`Self::learn_histories_parallel`], but the per-hour count arena
-    /// is kept alongside the built histories so the result can be saved,
-    /// merged with an adjacent window's model, and warm-started from.
-    /// Produces bit-identical histories to the plain learn paths.
+    /// Learn a checkpointable [`LearnedModel`], sharded across `workers`
+    /// threads: the slice is split into contiguous chunks, each counted
+    /// by its own [`HistoryBuilder`], and the per-shard builders are
+    /// merged in shard order — which reproduces the sequential result
+    /// exactly (counts are sums; merge order preserves first-appearance
+    /// ids). The per-hour count arena is kept alongside the built
+    /// histories so the result can be saved, merged with an adjacent
+    /// window's model, and warm-started from; callers that only detect
+    /// take [`LearnedModel::indexed`].
     pub fn learn_model(
         &self,
         observations: &[Observation],
@@ -362,17 +354,26 @@ impl PassiveDetector {
         workers: usize,
     ) -> LearnedModel {
         match self.learn_builder(observations, window, workers) {
-            None => {
-                let mut sp = span!(self.obs, "learn");
-                let t0 = Instant::now();
-                let mut hb = HistoryBuilder::new(window);
-                hb.record_all(observations.iter().copied());
-                sp.field("blocks", hb.block_count());
-                self.observe_stage("learn", t0);
-                hb.into_model()
-            }
+            None => self
+                .learn_sequential(observations.iter().copied(), window)
+                .into_model(),
             Some(hb) => hb.into_model(),
         }
+    }
+
+    /// One sequential history pass, instrumented as the `learn` stage.
+    fn learn_sequential<I: IntoIterator<Item = Observation>>(
+        &self,
+        observations: I,
+        window: Interval,
+    ) -> HistoryBuilder {
+        let mut sp = span!(self.obs, "learn");
+        let t0 = Instant::now();
+        let mut hb = HistoryBuilder::new(window);
+        hb.record_all(observations);
+        sp.field("blocks", hb.block_count());
+        self.observe_stage("learn", t0);
+        hb
     }
 
     /// Shared sharded history pass. Returns `None` when the input is too
@@ -429,13 +430,13 @@ impl PassiveDetector {
 
     /// Plan detection units from learned histories (diurnal-trough
     /// aware: widths are chosen against each block's quietest hour).
-    pub fn plan_units<H: HistorySource + ?Sized>(&self, histories: &H) -> AggregationPlan {
+    pub fn plan_units(&self, histories: &IndexedHistories) -> AggregationPlan {
         let mut sp = span!(self.obs, "plan");
         let t0 = Instant::now();
         let planned = plan(
-            histories.iter_histories().map(|(p, h)| {
+            histories.histories().iter().map(|h| {
                 (
-                    p,
+                    h.prefix,
                     crate::tuning::RateEstimate::from_history(h, &self.config),
                 )
             }),
@@ -447,43 +448,15 @@ impl PassiveDetector {
         planned
     }
 
-    /// Detection pass: run planned units over a stream.
-    pub fn detect<H, I>(&self, histories: &H, observations: I, window: Interval) -> DetectionReport
-    where
-        H: HistorySource + ?Sized,
-        I: IntoIterator<Item = Observation>,
-    {
-        self.detect_inner(histories, observations, window, None)
-    }
-
-    /// Detection pass guarded by a feed sentinel: spans where the
-    /// *sensor* looks faulted (aggregate arrival rate collapsed) are
-    /// quarantined — no unit judges them, and they are reported in
-    /// [`DetectionReport::quarantined`] for evaluation to exclude.
-    pub fn detect_with_sentinel<H, I>(
+    /// Detection pass: run planned units over a stream, guarded by the
+    /// feed sentinel when one is configured.
+    pub fn detect<I>(
         &self,
-        histories: &H,
+        histories: &IndexedHistories,
         observations: I,
         window: Interval,
-        sentinel: &SentinelConfig,
-    ) -> Result<DetectionReport, ConfigError>
-    where
-        H: HistorySource + ?Sized,
-        I: IntoIterator<Item = Observation>,
-    {
-        sentinel.validate()?;
-        Ok(self.detect_inner(histories, observations, window, Some(sentinel)))
-    }
-
-    fn detect_inner<H, I>(
-        &self,
-        histories: &H,
-        observations: I,
-        window: Interval,
-        sentinel_cfg: Option<&SentinelConfig>,
     ) -> DetectionReport
     where
-        H: HistorySource + ?Sized,
         I: IntoIterator<Item = Observation>,
     {
         let plan = self.plan_units(histories);
@@ -491,9 +464,8 @@ impl PassiveDetector {
         let t0 = Instant::now();
         // Batch is the thinnest adapter over the shared kernel: replay
         // the slice through one engine and assemble its report.
-        let gate = sentinel_cfg
-            .map(|cfg| QuarantineGate::from_sentinel(FeedSentinel::new(*cfg, window.start)));
-        let mut engine = DetectionEngine::from_plan(&self.config, plan, histories, window, gate);
+        let mut engine =
+            DetectionEngine::from_plan(&self.config, plan, histories, window, self.gate(window));
         for obs in observations {
             engine.observe(obs);
         }
@@ -518,34 +490,11 @@ impl PassiveDetector {
         }
     }
 
-    /// Convenience: self-calibrated two-pass run over a replayable
-    /// source (history learned from the same window that is judged).
-    pub fn run_replay<F, I>(&self, source: F, window: Interval) -> DetectionReport
-    where
-        F: Fn() -> I,
-        I: IntoIterator<Item = Observation>,
-    {
-        let histories = self.learn_histories_indexed(source(), window);
-        self.detect(&histories, source(), window)
-    }
-
-    /// Convenience: two-pass run over an in-memory slice.
+    /// Convenience: self-calibrated two-pass run over an in-memory slice
+    /// (history learned from the same window that is judged).
     pub fn run_slice(&self, observations: &[Observation], window: Interval) -> DetectionReport {
-        self.run_replay(|| observations.iter().copied(), window)
-    }
-
-    /// [`Self::run_slice`] with a feed sentinel guarding the detection
-    /// pass (history is still learned from the full slice: a faulted
-    /// span depresses learned rates slightly, in the conservative
-    /// direction).
-    pub fn run_slice_with_sentinel(
-        &self,
-        observations: &[Observation],
-        window: Interval,
-        sentinel: &SentinelConfig,
-    ) -> Result<DetectionReport, ConfigError> {
         let histories = self.learn_histories_indexed(observations.iter().copied(), window);
-        self.detect_with_sentinel(&histories, observations.iter().copied(), window, sentinel)
+        self.detect(&histories, observations.iter().copied(), window)
     }
 }
 
@@ -574,21 +523,21 @@ pub(crate) fn build_routing(plan: &AggregationPlan) -> (BlockIndex, Vec<u32>) {
 /// block, not the unit prefix, because a lone sparse block that climbed
 /// to an aggregate keeps its history under its own /24, not under the
 /// supernet it is judged at.
-pub(crate) fn unit_expectation_shape<H: HistorySource + ?Sized>(
+pub(crate) fn unit_expectation_shape(
     members: &[Prefix],
-    histories: &H,
+    histories: &IndexedHistories,
     config: &DetectorConfig,
 ) -> [f64; 24] {
     if members.len() == 1 {
         return histories
-            .history(&members[0])
+            .get(&members[0])
             .map(|h| h.expectation_shape(config.diurnal_model))
             .unwrap_or([1.0; 24]);
     }
     let mut shape = [0.0f64; 24];
     let mut total = 0.0;
     for m in members {
-        if let Some(h) = histories.history(m) {
+        if let Some(h) = histories.get(m) {
             let hs_all = h.expectation_shape(config.diurnal_model);
             for (s, hs) in shape.iter_mut().zip(hs_all.iter()) {
                 *s += h.lambda * hs;
@@ -767,7 +716,7 @@ mod tests {
             .map(|t| Observation::new(UnixTime(t), b))
             .collect();
         let det = PassiveDetector::new(DetectorConfig::default());
-        let histories = det.learn_histories(day1, Interval::from_secs(0, 86_400));
+        let histories = det.learn_histories_indexed(day1, Interval::from_secs(0, 86_400));
         let report = det.detect(&histories, day2, Interval::from_secs(86_400, 172_800));
         let tl = report.timeline_for(&b).unwrap();
         assert_eq!(tl.down.len(), 1);
@@ -802,6 +751,18 @@ mod tests {
     }
 
     #[test]
+    fn with_sentinel_rejects_invalid_config() {
+        let bad = SentinelConfig {
+            recovery_buckets: 0,
+            ..SentinelConfig::default()
+        };
+        let err = PassiveDetector::new(DetectorConfig::default())
+            .with_sentinel(bad)
+            .unwrap_err();
+        assert_eq!(err, ConfigError::SentinelNoRecovery);
+    }
+
+    #[test]
     fn feed_blackout_without_sentinel_is_a_mass_false_outage() {
         let obs = blacked_out_fleet(43_200..45_000);
         let det = PassiveDetector::new(DetectorConfig::default());
@@ -825,10 +786,10 @@ mod tests {
     fn feed_blackout_with_sentinel_is_quarantined() {
         let blackout = 43_200..45_000;
         let obs = blacked_out_fleet(blackout.clone());
-        let det = PassiveDetector::new(DetectorConfig::default());
-        let report = det
-            .run_slice_with_sentinel(&obs, window(), &crate::SentinelConfig::default())
+        let det = PassiveDetector::new(DetectorConfig::default())
+            .with_sentinel(SentinelConfig::default())
             .expect("valid sentinel config");
+        let report = det.run_slice(&obs, window());
         for u in &report.units {
             assert!(
                 !u.timeline
@@ -853,10 +814,10 @@ mod tests {
         // sensor fault, not a mass outage through 86 400.
         let mut obs = blacked_out_fleet(0..0);
         obs.retain(|o| o.time.secs() < 60_000);
-        let det = PassiveDetector::new(DetectorConfig::default());
-        let report = det
-            .run_slice_with_sentinel(&obs, window(), &crate::SentinelConfig::default())
+        let det = PassiveDetector::new(DetectorConfig::default())
+            .with_sentinel(SentinelConfig::default())
             .expect("valid sentinel config");
+        let report = det.run_slice(&obs, window());
         for u in &report.units {
             assert!(
                 !u.timeline

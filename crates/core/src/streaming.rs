@@ -215,7 +215,14 @@ impl StreamingMonitor {
     ) -> Result<StreamingMonitor, ConfigError> {
         let mut monitor = StreamingMonitor::new(config, start, epoch_secs)?;
         let first_window = Interval::new(start, start + epoch_secs);
-        monitor.engine = DetectionEngine::from_model(&monitor.detector, model, first_window, None);
+        let plan = monitor.detector.plan_units(model.indexed());
+        monitor.engine = DetectionEngine::from_plan(
+            monitor.detector.config(),
+            plan,
+            model.indexed(),
+            first_window,
+            None,
+        );
         monitor.current_epoch = Some(start);
         monitor.current_model = Some(model.clone());
         Ok(monitor)
@@ -513,9 +520,9 @@ impl StreamingMonitor {
         // deterministic either way, and keeping the model means a service
         // can checkpoint exactly what the live epoch runs on.
         let model = finished_history.into_model();
-        let plan = self.detector.plan_units(&model);
+        let plan = self.detector.plan_units(model.indexed());
         self.engine
-            .install_units(self.detector.config(), plan, &model, next_window);
+            .install_units(self.detector.config(), plan, model.indexed(), next_window);
         self.current_model = Some(model);
 
         self.current_epoch = Some(next_epoch_start);

@@ -1,8 +1,8 @@
 //! Property tests: all three execution paths are the *same detector*.
 //!
-//! Batch (`PassiveDetector::detect*`), streaming replay
+//! Batch (`PassiveDetector::detect`), streaming replay
 //! (`StreamingMonitor::from_model` with one window-sized epoch), and the
-//! parallel driver (`detect_parallel*` at any worker count) are thin
+//! parallel driver (`detect_parallel` at any worker count) are thin
 //! adapters over one [`DetectionEngine`] — so on the same scenario,
 //! driven from the same learned model, they must produce identical
 //! `OutageEvent` lists, identical quarantined sets, and (for the paths
@@ -11,14 +11,14 @@
 //!
 //! Also pinned here: `DetectionReport::events()` ordering is
 //! deterministic (sorted by start time, then prefix) on every path, and
-//! the engine's typed `SkipTo` input reproduces the old streaming
-//! re-seed protocol exactly.
+//! the engine's `skip_to` reproduces the old streaming re-seed protocol
+//! exactly.
 
 use outage_check::prelude::*;
 use outage_core::{
-    detect_parallel, detect_parallel_with_sentinel, DetectionEngine, DetectorConfig, EngineInput,
-    EventEvidence, EvidenceConfig, FeedSentinel, LearnedModel, PassiveDetector, QuarantineGate,
-    SentinelConfig, ShardPartition, StreamingMonitor,
+    detect_parallel, DetectionEngine, DetectorConfig, EventEvidence, EvidenceConfig, FeedSentinel,
+    LearnedModel, PassiveDetector, QuarantineGate, SentinelConfig, ShardPartition,
+    StreamingMonitor,
 };
 use outage_netsim::FaultPlan;
 use outage_obs::Obs;
@@ -148,11 +148,11 @@ property! {
         // each: batch and parallel take it as their history source, the
         // streaming monitor warm-starts its first epoch from it).
         let model = LearnedModel::learn(obs.iter().copied(), window);
-        let det = PassiveDetector::new(DetectorConfig::default());
-
-        let batch = det
-            .detect_with_sentinel(&model, obs.iter().copied(), window, &cfg)
+        let det = PassiveDetector::new(DetectorConfig::default())
+            .with_sentinel(cfg)
             .expect("valid sentinel config");
+
+        let batch = det.detect(model.indexed(), obs.iter().copied(), window);
         let batch_events = batch.events();
         assert_sorted(&batch_events);
 
@@ -163,10 +163,7 @@ property! {
         prop_assert_eq!(&stream_quarantine, &batch.quarantined, "streaming quarantine differs");
 
         for workers in [1usize, 2, 4, 8] {
-            let par = detect_parallel_with_sentinel(
-                &det, &model, obs.iter().copied(), window, workers, &cfg,
-            )
-            .expect("valid sentinel config");
+            let par = detect_parallel(&det, model.indexed(), obs.iter().copied(), window, workers);
             let par_events = par.events();
             assert_sorted(&par_events);
             prop_assert_eq!(
@@ -194,7 +191,7 @@ property! {
         let model = LearnedModel::learn(obs.iter().copied(), window);
         let det = PassiveDetector::new(DetectorConfig::default());
 
-        let batch = det.detect(&model, obs.iter().copied(), window);
+        let batch = det.detect(model.indexed(), obs.iter().copied(), window);
         let batch_events = batch.events();
         assert_sorted(&batch_events);
         prop_assert!(batch.quarantined.is_empty());
@@ -204,7 +201,7 @@ property! {
         prop_assert!(stream_quarantine.is_empty());
 
         for workers in [1usize, 2, 4, 8] {
-            let par = detect_parallel(&det, &model, obs.iter().copied(), window, workers);
+            let par = detect_parallel(&det, model.indexed(), obs.iter().copied(), window, workers);
             prop_assert!(par.quarantined.is_empty());
             prop_assert_eq!(par.strays, batch.strays);
             prop_assert_eq!(
@@ -236,22 +233,24 @@ property! {
         let cfg = SentinelConfig::default();
 
         // Fresh detector + registry per run: each exports exactly once.
+        let detector = |o: &Obs| {
+            PassiveDetector::new(DetectorConfig::default())
+                .with_obs(o.clone())
+                .with_sentinel(cfg)
+                .expect("valid sentinel config")
+        };
         let run_seq = || {
             let o = Obs::new();
-            let det = PassiveDetector::new(DetectorConfig::default()).with_obs(o.clone());
-            let histories = det.learn_histories(obs.iter().copied(), window);
-            det.detect_with_sentinel(&histories, obs.iter().copied(), window, &cfg)
-                .expect("valid sentinel config");
+            let det = detector(&o);
+            let histories = det.learn_histories_indexed(obs.iter().copied(), window);
+            det.detect(&histories, obs.iter().copied(), window);
             semantic_samples(&o)
         };
         let run_par = |workers: usize| {
             let o = Obs::new();
-            let det = PassiveDetector::new(DetectorConfig::default()).with_obs(o.clone());
-            let histories = det.learn_histories(obs.iter().copied(), window);
-            detect_parallel_with_sentinel(
-                &det, &histories, obs.iter().copied(), window, workers, &cfg,
-            )
-            .expect("valid sentinel config");
+            let det = detector(&o);
+            let histories = det.learn_histories_indexed(obs.iter().copied(), window);
+            detect_parallel(&det, &histories, obs.iter().copied(), window, workers);
             semantic_samples(&o)
         };
 
@@ -297,11 +296,11 @@ property! {
         };
 
         let model = LearnedModel::learn(obs.iter().copied(), window);
-        let det = PassiveDetector::new(config.clone());
-
-        let batch = det
-            .detect_with_sentinel(&model, obs.iter().copied(), window, &cfg)
+        let det = PassiveDetector::new(config.clone())
+            .with_sentinel(cfg)
             .expect("valid sentinel config");
+
+        let batch = det.detect(model.indexed(), obs.iter().copied(), window);
         let batch_doc = evidence_doc(&batch.evidence());
         // Full tier: every completed event carries exactly one record.
         prop_assert_eq!(
@@ -320,10 +319,7 @@ property! {
         prop_assert_eq!(&stream_doc, &batch_doc, "streaming evidence != batch evidence");
 
         for workers in [1usize, 2, 4, 8] {
-            let par = detect_parallel_with_sentinel(
-                &det, &model, obs.iter().copied(), window, workers, &cfg,
-            )
-            .expect("valid sentinel config");
+            let par = detect_parallel(&det, model.indexed(), obs.iter().copied(), window, workers);
             prop_assert_eq!(
                 evidence_doc(&par.evidence()), batch_doc.clone(),
                 "evidence diverges at {} workers", workers
@@ -369,10 +365,10 @@ property! {
     }
 }
 
-/// Regression: the engine's typed `SkipTo` input is exactly the old
-/// streaming re-seed protocol. An engine guarded by its own gate must
-/// match an unguarded engine driven by an external sentinel loop that
-/// swallows faulted arrivals and issues `SkipTo` at recovery — the
+/// Regression: the engine's `skip_to` is exactly the old streaming
+/// re-seed protocol. An engine guarded by its own gate must match an
+/// unguarded engine driven by an external sentinel loop that swallows
+/// faulted arrivals and calls `skip_to` at recovery — the
 /// literal control flow `StreamingMonitor` used before the engine
 /// existed.
 #[test]
@@ -388,18 +384,22 @@ fn engine_skip_to_mid_quarantine_matches_old_reseed_protocol() {
 
     let model = LearnedModel::learn(obs.iter().copied(), window);
     let det = PassiveDetector::new(DetectorConfig::default());
+    let engine = |gate: Option<QuarantineGate>| {
+        let plan = det.plan_units(model.indexed());
+        DetectionEngine::from_plan(det.config(), plan, model.indexed(), window, gate)
+    };
 
     // Path A: the engine owns the gate.
     let gate = QuarantineGate::new(cfg, window.start).expect("valid sentinel config");
-    let mut guarded = DetectionEngine::from_histories(&det, &model, window, Some(gate));
+    let mut guarded = engine(Some(gate));
     for o in &obs {
-        guarded.apply(EngineInput::Observe(*o));
+        guarded.observe(*o);
     }
     let guarded_out = guarded.finish();
 
     // Path B: no gate — an external sentinel loop swallows faulted
-    // arrivals and re-seeds with SkipTo, as the old monitor did.
-    let mut bare = DetectionEngine::from_histories(&det, &model, window, None);
+    // arrivals and re-seeds with skip_to, as the old monitor did.
+    let mut bare = engine(None);
     let mut sentinel = FeedSentinel::new(cfg, window.start);
     let mut open: Option<UnixTime> = None;
     let mut quarantined = IntervalSet::new();
@@ -413,13 +413,13 @@ fn engine_skip_to_mid_quarantine_matches_old_reseed_protocol() {
                 if o.time > start {
                     quarantined.insert(Interval::new(start, o.time));
                 }
-                bare.apply(EngineInput::SkipTo(o.time));
+                bare.skip_to(o.time);
             }
         }
         if open.is_some() {
             continue; // swallowed: faulted arrivals are not evidence
         }
-        bare.apply(EngineInput::Observe(*o));
+        bare.observe(*o);
     }
     sentinel.advance_to(window.end);
     if open.is_none() && sentinel.is_quarantined() {
@@ -429,7 +429,7 @@ fn engine_skip_to_mid_quarantine_matches_old_reseed_protocol() {
         if window.end > start {
             quarantined.insert(Interval::new(start, window.end));
         }
-        bare.apply(EngineInput::SkipTo(window.end));
+        bare.skip_to(window.end);
     }
     let bare_out = bare.finish();
 

@@ -3,8 +3,8 @@
 //! demonstrates, asserted rather than printed).
 
 use outage_core::{
-    DetectorConfig, FederationRouter, FusionPolicy, PassiveDetector, SentinelConfig, VantagePlan,
-    VantageReport, VantageRunner,
+    ConfigError, DetectorConfig, FederationRouter, FusionPolicy, PassiveDetector, SentinelConfig,
+    VantagePlan, VantageReport, VantageRunner,
 };
 use outage_netsim::{FaultPlan, Scenario};
 use outage_types::{Interval, Observation, OutageEvent};
@@ -26,6 +26,12 @@ fn render(events: &[OutageEvent]) -> String {
         .collect()
 }
 
+/// Self-calibrated run over one vantage's shard: learn, then detect.
+fn run(runner: &VantageRunner, shard: &[Observation], window: Interval) -> VantageReport {
+    let model = runner.learn(shard, window, 1);
+    runner.run_with_model(&model, shard, window).unwrap()
+}
+
 fn run_federated(
     scenario: &Scenario,
     plan: &VantagePlan,
@@ -37,7 +43,7 @@ fn run_federated(
             let shard: Vec<Observation> =
                 scenario.observations_where(|p| plan.sees(v, p)).collect();
             let runner = VantageRunner::new(v, DetectorConfig::default()).unwrap();
-            runner.run(&shard, window).unwrap()
+            run(&runner, &shard, window)
         })
         .collect();
     let fused = FederationRouter::new(policy).assemble(&reports).unwrap();
@@ -105,11 +111,11 @@ fn blackout_at_one_vantage_stays_isolated() {
         let runner = VantageRunner::new(v, DetectorConfig::default())
             .unwrap()
             .with_sentinel(sentinel);
-        faulted_reports.push(runner.run(&ingest, window).unwrap());
+        faulted_reports.push(run(&runner, &ingest, window));
         let solo = VantageRunner::new(v, DetectorConfig::default())
             .unwrap()
             .with_sentinel(sentinel);
-        solo_reports.push(solo.run(shard, window).unwrap());
+        solo_reports.push(run(&solo, shard, window));
     }
 
     // Only the blacked-out vantage quarantines, and its quarantine
@@ -195,4 +201,22 @@ fn overlap_corroboration_brackets_single_vantage_verdicts() {
         "union may not lose outage time either vantage saw"
     );
     assert!(quorum_down > 0, "agreement must survive on real outages");
+}
+
+/// An invalid sentinel configuration is a typed error from the run, not
+/// a panic and not a silently unguarded vantage.
+#[test]
+fn invalid_vantage_sentinel_is_reported_by_the_run() {
+    let scenario = Scenario::quick(14);
+    let window = scenario.window();
+    let shard: Vec<Observation> = scenario.collect_observations();
+    let runner = VantageRunner::new(0, DetectorConfig::default())
+        .unwrap()
+        .with_sentinel(SentinelConfig {
+            recovery_buckets: 0,
+            ..SentinelConfig::default()
+        });
+    let model = runner.learn(&shard, window, 1);
+    let err = runner.run_with_model(&model, &shard, window).unwrap_err();
+    assert_eq!(err, ConfigError::SentinelNoRecovery);
 }

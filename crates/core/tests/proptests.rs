@@ -3,7 +3,8 @@
 
 use outage_check::prelude::*;
 use outage_core::{
-    fuse_timelines, Belief, BeliefClamp, DetectorConfig, PassiveDetector, UnitDetector, UnitParams,
+    fuse_timelines, AggregationPlan, Belief, BeliefClamp, BlockIndex, DetectionEngine,
+    DetectorConfig, IndexedHistories, PassiveDetector, PlannedUnit, UnitParams,
 };
 use outage_types::{Interval, IntervalSet, Observation, Prefix, Timeline, UnixTime};
 
@@ -29,19 +30,25 @@ fn arb_arrivals() -> impl Gen<Value = Vec<u64>> {
     })
 }
 
+/// Run one block through an engine over a one-unit plan (no history:
+/// a flat hour shape).
 fn run_detector(arrivals: &[u64], params: UnitParams) -> Timeline {
-    let cfg = DetectorConfig::default();
-    let mut d = UnitDetector::new(
-        block(),
-        params,
-        [1.0; 24],
-        &cfg,
-        Interval::from_secs(0, DAY),
-    );
+    let plan = AggregationPlan {
+        units: vec![PlannedUnit {
+            prefix: block(),
+            members: vec![block()],
+            params,
+        }],
+        uncovered: Vec::new(),
+    };
+    let histories = IndexedHistories::from_parts(BlockIndex::new(), Vec::new()).unwrap();
+    let window = Interval::from_secs(0, DAY);
+    let mut d =
+        DetectionEngine::from_plan(&DetectorConfig::default(), plan, &histories, window, None);
     for &t in arrivals {
-        d.observe(UnixTime(t));
+        d.observe(Observation::new(UnixTime(t), block()));
     }
-    d.finish().timeline
+    d.finish().report.units.remove(0).timeline
 }
 
 /// Structural invariants of one detector run over `arrivals`.

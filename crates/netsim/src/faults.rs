@@ -325,8 +325,10 @@ impl<I: Iterator<Item = Observation>> FaultedArrivals<I> {
         let mut stamped = t.secs();
         if let Some(j) = self.plan.jitter {
             if j.max_secs > 0 && self.rng.gen_bool(j.prob) {
-                let delta = self.rng.gen_range(0..=2 * j.max_secs);
-                stamped = (stamped + delta).saturating_sub(j.max_secs);
+                // Saturating: a plan may ask for any u64 bound, and the
+                // stamp clamps to the clock's range instead of wrapping.
+                let delta = self.rng.gen_range(0..=j.max_secs.saturating_mul(2));
+                stamped = stamped.saturating_add(delta).saturating_sub(j.max_secs);
             }
         }
         let copies =
@@ -339,7 +341,7 @@ impl<I: Iterator<Item = Observation>> FaultedArrivals<I> {
             let mut key = stamped;
             if let Some(r) = self.plan.reorder {
                 if r.max_skew_secs > 0 && self.rng.gen_bool(r.prob) {
-                    key += self.rng.gen_range(0..=r.max_skew_secs);
+                    key = key.saturating_add(self.rng.gen_range(0..=r.max_skew_secs));
                 }
             }
             self.heap.push(Reverse((
@@ -537,5 +539,69 @@ mod tests {
         assert!(FaultPlan::parse("brownout 0 10 1.5").is_err(), "bad prob");
         assert!(FaultPlan::parse("frobnicate 1").is_err(), "unknown");
         assert!(FaultPlan::parse("blackout 1").is_err(), "arity");
+    }
+
+    #[test]
+    fn extreme_jitter_and_reorder_saturate_instead_of_overflowing() {
+        let input = steady(100, 1_000);
+        let plan =
+            FaultPlan::parse("jitter 18446744073709551615 1\nreorder 18446744073709551615 1")
+                .expect("any u64 bound parses");
+        let out = plan.apply_to_vec(&input);
+        assert_eq!(out.len(), input.len(), "jitter and reorder never drop");
+        // Each stamp is `t + delta - max` with the draw bound 2·max
+        // saturated to u64::MAX, so delta ≤ max and no stamp passes the
+        // last input time.
+        assert!(out.iter().all(|o| o.time.secs() <= 900), "{out:?}");
+    }
+
+    /// Every truncation of `seed`, and every single-byte replacement from
+    /// a small alphabet (plus U+00A0, a non-ASCII whitespace).
+    fn mutants(seed: &str) -> Vec<String> {
+        const REPLACEMENTS: &[char] = &[
+            '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', ' ', '\t', '\n', '#', '.', '-', 'e',
+            '\u{a0}',
+        ];
+        let mut out: Vec<String> = (0..=seed.len()).map(|k| seed[..k].to_string()).collect();
+        for at in 0..seed.len() {
+            for &c in REPLACEMENTS {
+                out.push(format!("{}{c}{}", &seed[..at], &seed[at + 1..]));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn parser_and_apply_survive_mutation() {
+        let seeds = [
+            "seed 7",
+            "seed 18446744073709551615",
+            "blackout 100 200",
+            "blackout 0 18446744073709551615",
+            "brownout 100 900 0.25",
+            "reorder 30 0.5",
+            "reorder 18446744073709551615 1",
+            "duplicate 0.5",
+            "jitter 5 0.5",
+            "jitter 18446744073709551615 1",
+            "corrupt 0.1",
+            "# a comment",
+        ];
+        let input = steady(50, 2_000);
+        let mut accepted = 0;
+        for seed in seeds {
+            for mutant in mutants(seed) {
+                for doc in [mutant.clone(), format!("seed 3\n{mutant}\n# tail\n")] {
+                    let parsed: Result<FaultPlan, String> = FaultPlan::parse(&doc);
+                    if let Ok(plan) = parsed {
+                        accepted += 1;
+                        let out = plan.apply_to_vec(&input);
+                        assert!(out.len() <= 2 * input.len(), "{doc:?}");
+                    }
+                }
+            }
+        }
+        // The sweep reaches both sides of the grammar.
+        assert!(accepted > 500, "only {accepted} plans parsed");
     }
 }

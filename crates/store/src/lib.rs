@@ -9,7 +9,7 @@
 //!
 //! Three layers:
 //!
-//! * [`format`] — the versioned binary format (`POMS`): magic + version
+//! * [`mod@format`] — the versioned binary format (`POMS`): magic + version
 //!   header, config fingerprint, and `INDX`/`CNTS`/`HIST` sections each
 //!   guarded by a CRC32. Decoding is total: hostile bytes produce a
 //!   typed [`StoreError`], never a panic or a partial model.
@@ -46,7 +46,7 @@
 //!
 //! // Later (or in another process): warm-start without re-learning.
 //! let warm = detector.load_model(&path).unwrap();
-//! let report = detector.detect(&warm, observations.iter().copied(), window);
+//! let report = detector.detect(warm.indexed(), observations.iter().copied(), window);
 //! assert!(report.covered_blocks() > 0);
 //! # let _ = std::fs::remove_file(&path);
 //! ```

@@ -44,7 +44,7 @@ fn check_scenario(scenario: Scenario, tag: &str, workers: usize) {
 
     // Cold: learn in memory, detect straight away.
     let model = detector.learn_model(&observations, window, workers);
-    let cold = detector.detect(&model, observations.iter().copied(), window);
+    let cold = detector.detect(model.indexed(), observations.iter().copied(), window);
 
     // Warm: round-trip the model through the store, then detect.
     let dir = tmpdir(tag);
@@ -56,7 +56,7 @@ fn check_scenario(scenario: Scenario, tag: &str, workers: usize) {
         model.indexed().histories(),
         "round trip must preserve every history bit"
     );
-    let warm = detector.detect(&loaded, observations.iter().copied(), window);
+    let warm = detector.detect(loaded.indexed(), observations.iter().copied(), window);
 
     assert_reports_identical(&cold, &warm);
     assert!(cold.covered_blocks() > 0, "scenario produced no coverage");
@@ -105,7 +105,7 @@ fn merge_of_half_window_checkpoints_matches_full_window_learning() {
     assert_eq!(merged.indexed().histories(), full.indexed().histories());
 
     // And the merged model detects identically to the full-window one.
-    let from_merged = detector.detect(&merged, observations.iter().copied(), window);
-    let from_full = detector.detect(&full, observations.iter().copied(), window);
+    let from_merged = detector.detect(merged.indexed(), observations.iter().copied(), window);
+    let from_full = detector.detect(full.indexed(), observations.iter().copied(), window);
     assert_reports_identical(&from_full, &from_merged);
 }

@@ -38,7 +38,10 @@ fn run_vantages(
         .enumerate()
         .map(|(v, shard)| {
             let runner = VantageRunner::new(v, DetectorConfig::default()).expect("valid config");
-            runner.run(shard, window).expect("valid config")
+            let model = runner.learn(shard, window, 1);
+            runner
+                .run_with_model(&model, shard, window)
+                .expect("valid config")
         })
         .collect()
 }

@@ -17,7 +17,8 @@ fn main() {
     let scenario = Scenario::tradeoff(100, 5);
     let observations = scenario.collect_observations();
     let detector = PassiveDetector::new(DetectorConfig::default());
-    let histories = detector.learn_histories(observations.iter().copied(), scenario.window());
+    let histories =
+        detector.learn_histories_indexed(observations.iter().copied(), scenario.window());
     println!(
         "observed {} blocks over one day ({} arrivals)\n",
         histories.len(),

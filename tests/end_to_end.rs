@@ -61,7 +61,8 @@ fn parallel_driver_matches_sequential_at_scenario_scale() {
     let scenario = scenario();
     let observations = scenario.collect_observations();
     let detector = PassiveDetector::new(DetectorConfig::default());
-    let histories = detector.learn_histories(observations.iter().copied(), scenario.window());
+    let histories =
+        detector.learn_histories_indexed(observations.iter().copied(), scenario.window());
     let seq = detector.detect(&histories, observations.iter().copied(), scenario.window());
     let par = detect_parallel(
         &detector,
@@ -183,7 +184,7 @@ fn two_day_run_history_from_day_one() {
     let day2 = Interval::from_secs(durations::DAY, 2 * durations::DAY);
 
     let detector = PassiveDetector::new(DetectorConfig::default());
-    let histories = detector.learn_histories(
+    let histories = detector.learn_histories_indexed(
         observations
             .iter()
             .copied()
